@@ -7,7 +7,7 @@ numeric harness that independently verifies the matrix integrals the
 constants rest on.
 """
 
-from .exact import HalfInt, Rat, SymScalar, factorial, rising, sym_abs, sym_mul
+from .exact import HalfInt, Rat, SymScalar, det, factorial, rising
 from .intertwine import (
     DistributionData,
     MultiPoly,

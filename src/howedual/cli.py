@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -39,10 +40,6 @@ from .reps import (
 from .verify import run_suite
 
 __all__ = ["main", "build_parser"]
-
-
-class DomainError(Exception):
-    pass
 
 
 class UsageError(Exception):
@@ -73,11 +70,13 @@ def _load_matrix(path: str, pair: DualPair) -> np.ndarray:
         raise UsageError(f"malformed matrix file {path!r}: {exc}")
     if mat.shape != (pair.l, pair.lp):
         raise UsageError(f"matrix must be {pair.l} x {pair.lp}, got {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise UsageError(f"matrix file {path!r} has a non-finite entry")
     return mat
 
 
 def _emit(payload: dict):
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -172,7 +171,12 @@ def _cmd_eval(args) -> tuple[int, dict]:
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
-    seed = int(os.environ["HD_SEED"]) if "HD_SEED" in os.environ else args.seed
+    seed = args.seed
+    if "HD_SEED" in os.environ:
+        try:
+            seed = int(os.environ["HD_SEED"])
+        except ValueError:
+            raise UsageError(f"HD_SEED must be an integer, got {os.environ['HD_SEED']!r}") from None
     summary = run_suite(args.suite.split(","), seed=seed, samples=args.samples)
     return (0 if summary["pass"] else 3), summary
 
@@ -183,6 +187,22 @@ def _cmd_verify(args) -> tuple[int, dict]:
 def _add_pair_args(sub):
     sub.add_argument("--l", type=int, required=True, help="rank of the first member U_l")
     sub.add_argument("--lp", type=int, required=True, help="rank of the second member U_l'")
+
+
+# Parameter values such as -1/2,-3/2 start with "-"; argparse would read
+# them as options, so they are attached to their flag as --mu-prime=-1/2,...
+_PARAM_FLAGS = ("--mu", "--mu-prime", "--hw")
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _PARAM_FLAGS and _NEGATIVE_VALUE.match(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _add_mu_args(sub, with_side=False):
@@ -244,16 +264,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         code, payload = args.handler(args)
+        _emit(payload)
     except UsageError as exc:
         _emit({"error": str(exc)})
         return 2
-    except (DomainError, ValueError) as exc:
+    except ValueError as exc:
         _emit({"error": str(exc)})
         return 1
-    _emit(payload)
     return code
 
 

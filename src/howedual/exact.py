@@ -18,21 +18,49 @@ __all__ = [
     "SymScalar",
     "factorial",
     "rising",
-    "sym_mul",
-    "sym_abs",
+    "det",
 ]
 
 Rat = Fraction
 
 
-def rising(a: int, k: int) -> int:
-    """Rising factorial a(a+1)...(a+k-1); the empty product (k = 0) is 1."""
+def rising(a, k: int):
+    """Rising factorial a(a+1)...(a+k-1) of an int or Fraction a; the empty
+    product (k = 0) is 1."""
     if k < 0:
         raise ValueError("rising factorial needs k >= 0")
     out = 1
     for i in range(k):
         out *= a + i
     return out
+
+
+def det(rows) -> Fraction:
+    """Exact determinant of a square matrix of ints or Fractions.
+
+    Fraction-free (Bareiss 1968) elimination: after step k every entry of
+    the trailing block is a (k+1)-minor, so each division is exact.  A zero
+    pivot is replaced by swapping in a lower row.  The empty matrix has
+    determinant 1.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix must be square")
+    sign, prev = 1, Fraction(1)
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) / prev
+        prev = pivot
+    return sign * a[-1][-1] if n else Fraction(1)
 
 
 @dataclass(frozen=True, order=True)
@@ -294,12 +322,3 @@ class SymScalar:
             parts.append("i")
         return " * ".join(parts)
 
-
-def sym_mul(x: SymScalar, y: SymScalar) -> SymScalar:
-    """Exact product of two symbolic scalars."""
-    return x * y
-
-
-def sym_abs(x: SymScalar) -> SymScalar:
-    """Modulus of a symbolic scalar (i-power dropped, rational part >= 0)."""
-    return abs(x)

@@ -21,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import exp, factorial, pi
+from math import exp, factorial, isfinite, pi
 
 import numpy as np
 
-from .exact import SymScalar
+from .exact import SymScalar, det
 from .pab import UniPoly, pab2
 from .reps import (
     DualPair,
@@ -249,17 +249,17 @@ class MultiPoly:
 # ---------------------------------------------------------------------------
 
 
-def p_mu_product(mu: HCParam, pair: DualPair) -> MultiPoly:
-    """prod_j P_{a_j,b_j,2}(z_j); the zero polynomial when some b_j <= 0."""
-    ab = ab_params(mu, pair)
-    l = pair.l
+def _product(factors: list[UniPoly], l: int) -> MultiPoly:
+    """prod_j factors[j](z_j) in l variables."""
     out = MultiPoly.constant(l, 1)
-    for j, (a, b) in enumerate(ab):
-        p = pab2(a, b)
-        if p.is_zero():
-            return MultiPoly.zero(l)
+    for j, p in enumerate(factors):
         out = out * MultiPoly.from_univariate(p, j, l)
     return out
+
+
+def p_mu_product(mu: HCParam, pair: DualPair) -> MultiPoly:
+    """prod_j P_{a_j,b_j,2}(z_j); the zero polynomial when some b_j <= 0."""
+    return _product([pab2(a, b) for a, b in ab_params(mu, pair)], pair.l)
 
 
 def skew_symmetrize(p: MultiPoly) -> MultiPoly:
@@ -447,10 +447,7 @@ class DistributionData:
 
 
 def _pipeline(factors: list[UniPoly], l: int) -> MultiPoly:
-    prod = MultiPoly.constant(l, 1)
-    for j, p in enumerate(factors):
-        prod = prod * MultiPoly.from_univariate(p, j, l)
-    return divide_by_vandermonde(skew_symmetrize(prod))
+    return divide_by_vandermonde(skew_symmetrize(_product(factors, l)))
 
 
 def _slice_prefactor(pair: DualPair) -> SymScalar:
@@ -576,35 +573,20 @@ def value_at_zero_oracle(mu: HCParam, pair: DualPair) -> SymScalar:
     """|T(0)| via the differential operator dual to the root product.
 
     Applies sum_s sgn(s) d^(s(1)-1)...d^(s(l)-1) to the exact skew sum and
-    evaluates at 0; cross-checked internally against the per-permutation
-    factorial expansion |W| sum_s sgn(s) prod_j (d^(s(j)-1) P_j)(0).
+    evaluates at 0; cross-checked internally against |W| det[(d^k P_j)(0)],
+    the determinant of the derivative values at 0 (k = 0..l-1).
     """
     if not occurs_G(mu, pair):
         raise ValueError("parameter does not occur")
     l = pair.l
     skew = skew_symmetrize(p_mu_product(mu, pair))
     d_skew = vandermonde_derivative_at_zero(skew)
-
+    # d^k P_{a,b,2} = P_{a,b-k,2}, so the derivative value at 0 is the
+    # constant term of the lowered-index polynomial.
     ab = ab_params(mu, pair)
-    per_perm = Fraction(0)
-    for perm in permutations(range(l)):
-        term = Fraction(perm_sign(perm))
-        for j, (a, b) in enumerate(ab):
-            # d^k P_{a,b,2} = P_{a,b-k,2}, so the derivative value at 0 is
-            # the constant term of the lowered-index polynomial.
-            low = pab2(a, b - perm[j])
-            term *= low.coefficient(0)
-        per_perm += term
-    assert d_skew == factorial(l) * per_perm
-
-    fac = 1
-    for k in range(1, l + 1):
-        fac *= factorial(k)
-    return abs(
-        abs(constants(pair)["C_bullet"])
-        * SymScalar.two_pi_power(l * (l - 1) // 2)
-        * SymScalar(Fraction(abs(d_skew), fac))
-    )
+    minor = det([[pab2(a, b - k).coefficient(0) for k in range(l)] for a, b in ab])
+    assert d_skew == factorial(l) * minor
+    return _value_prefactor(pair) * Fraction(abs(d_skew), factorial(l))
 
 
 def multiplicity_one_check(mu: HCParam, pair: DualPair) -> bool:
@@ -630,10 +612,10 @@ def multiplicity_one_check(mu: HCParam, pair: DualPair) -> bool:
 def eigvalsh_jacobi(h, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations.
 
-    Returns the eigenvalues in decreasing order.  Intended for the small
-    (at most 6x6) moment-map matrices handled here; raises RuntimeError if
-    the off-diagonal mass does not fall below ``tol`` within
-    ``max_sweeps`` sweeps.
+    Returns the eigenvalues in decreasing order.  This is the independent
+    reference the LAPACK path of ``eval_distribution`` is tested against;
+    raises RuntimeError if the off-diagonal mass does not fall below
+    ``tol`` within ``max_sweeps`` sweeps.
     """
     a = np.array(h, dtype=complex)
     n = a.shape[0]
@@ -673,18 +655,27 @@ def eval_distribution(data: DistributionData, pair: DualPair, w) -> float:
 
     ``w`` is an l x l' complex matrix; the eigenvalues y_j >= 0 of
     w w^dagger give z_j = 2*pi*y_j and the value is
-    |prefactor| * exp(-sum z_j) * poly(z).
+    |prefactor| * exp(-sum z_j) * poly(z).  Raises ValueError when w w^dagger
+    or the value is not finite.
     """
     w = np.asarray(w, dtype=complex)
     if w.shape != (pair.l, pair.lp):
         raise ValueError(f"matrix must be {pair.l} x {pair.lp}, got {w.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = w @ w.conj().T
+    if not np.isfinite(m).all():
+        raise ValueError("w w^dagger is not finite")
     if data.is_zero():
         return 0.0
-    m = w @ w.conj().T
-    y = eigvalsh_jacobi(m)
-    y = np.clip(y, 0.0, None)
+    y = np.clip(np.linalg.eigvalsh(m)[::-1], 0.0, None)
     z = 2.0 * pi * y
-    return abs(data.prefactor).to_float() * exp(-float(z.sum())) * data.poly.eval_float(z)
+    try:
+        value = abs(data.prefactor).to_float() * exp(-float(z.sum())) * data.poly.eval_float(z)
+    except OverflowError:
+        value = float("inf")
+    if not isfinite(value):
+        raise ValueError("the value at w is not finite (w is too large)")
+    return value
 
 
 def eval_on_W(mu: HCParam, pair: DualPair, w) -> float:

@@ -22,8 +22,8 @@ from math import factorial, fsum, pi
 
 import numpy as np
 
-from .exact import SymScalar
-from .intertwine import DualPair, constants, eval_on_W, perm_sign
+from .exact import SymScalar, det, rising
+from .intertwine import DualPair, constants, distribution_G, eval_distribution, perm_sign
 from .reps import HCParam, occurs_G
 
 __all__ = [
@@ -132,9 +132,13 @@ def haar_unitary(n: int, rng: RngStream, count: int | None = None) -> np.ndarray
 
     Returns an (n, n) matrix, or a stack of shape (count, n, n).
     """
+    return _haar(rng.generator(), n, count)
+
+
+def _haar(g: np.random.Generator, n: int, count: int | None = None) -> np.ndarray:
+    """The body of ``haar_unitary``, drawing from a generator the caller holds."""
     if n < 1:
         raise ValueError("n must be positive")
-    g = rng.generator()
     shape = (n, n) if count is None else (count, n, n)
     z = (g.standard_normal(shape) + 1j * g.standard_normal(shape)) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -219,16 +223,7 @@ def forrester_warnaar_check(n: int) -> McReport:
 
 def gaussian_vandermonde_exact(l: int, c: int) -> int:
     """l! * det[(k + j + c - 2)!]_{j,k=1..l}, by exact determinant."""
-    mat = [[factorial(j + k + c - 2) for k in range(1, l + 1)] for j in range(1, l + 1)]
-    det = Fraction(0)
-    for perm in permutations(range(l)):
-        term = Fraction(perm_sign(perm))
-        for j in range(l):
-            term *= mat[j][perm[j]]
-        det += term
-    out = factorial(l) * det
-    assert out.denominator == 1
-    return int(out)
+    return int(factorial(l) * det([[factorial(j + k + c) for k in range(l)] for j in range(l)]))
 
 
 def gaussian_vandermonde_double_sum(l: int, c: int) -> int:
@@ -288,13 +283,8 @@ def vandermonde_identity(zs) -> tuple[Fraction, Fraction]:
     """
     z = [Fraction(v) for v in zs]
     m = len(z)
-    lhs = Fraction(0)
-    for perm in permutations(range(m)):
-        term = Fraction(perm_sign(perm))
-        for j in range(m):
-            for k in range(1, perm[j] + 1):
-                term *= z[j] - k
-        lhs += term
+    # prod_{k<=i} (z_j - k) = rising(z_j - i, i)
+    lhs = det([[rising(z[j] - i, i) for i in range(m)] for j in range(m)])
     rhs = Fraction(1)
     for j in range(m):
         for k in range(j + 1, m):
@@ -310,23 +300,7 @@ def dan_determinant(a, n: int) -> Fraction:
     if n < 2:
         raise ValueError("needs n >= 2")
     a = Fraction(a)
-    mat = [
-        [_rising_fraction(a + j, k) for k in range(n)] for j in range(n)
-    ]
-    det = Fraction(0)
-    for perm in permutations(range(n)):
-        term = Fraction(perm_sign(perm))
-        for j in range(n):
-            term *= mat[j][perm[j]]
-        det += term
-    return det
-
-
-def _rising_fraction(a: Fraction, k: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(k):
-        out *= a + i
-    return out
+    return det([[rising(a + j, k) for k in range(n)] for j in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +365,7 @@ def distribution_invariance(
     """Max relative deviation of the distribution under w -> g w g'^(-1)."""
     if not occurs_G(mu, pair):
         raise ValueError("parameter does not occur")
+    data = distribution_G(mu, pair)
     g = rng.generator()
     worst = 0.0
     for _ in range(trials):
@@ -398,19 +373,12 @@ def distribution_invariance(
             g.standard_normal((pair.l, pair.lp))
             + 1j * g.standard_normal((pair.l, pair.lp))
         ) / np.sqrt(2.0)
-        u = _haar_from(g, pair.l)
-        v = _haar_from(g, pair.lp)
-        base = eval_on_W(mu, pair, w)
-        moved = eval_on_W(mu, pair, u @ w @ np.linalg.inv(v))
+        u = _haar(g, pair.l)
+        v = _haar(g, pair.lp)
+        base = eval_distribution(data, pair, w)
+        moved = eval_distribution(data, pair, u @ w @ np.linalg.inv(v))
         worst = max(worst, abs(moved - base) / abs(base))
     return worst
-
-
-def _haar_from(g: np.random.Generator, n: int) -> np.ndarray:
-    z = (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))[None, :]
 
 
 def cw_identity_check(pair: DualPair) -> bool:

@@ -7,7 +7,7 @@ runtime budgets are fixed here, not configurable.
 
 import time
 from fractions import Fraction
-from math import factorial, pi
+from math import factorial
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from howedual import (
     dim_weyl,
     distribution_G,
     distribution_Gprime,
+    distribution_invariance,
     forrester_warnaar_check,
     gaussian_vandermonde,
     laguerre,
@@ -43,7 +44,6 @@ from howedual import (
     vandermonde_identity,
     vol_unitary,
 )
-import howedual.intertwine as intertwine
 
 
 def _report(name: str, started: float, budget: float, detail: str = ""):
@@ -204,7 +204,7 @@ def test_criterion_7_invariance():
     for pair in all_pairs(max_l=2):
         for mu in occurring_params(pair):
             count += 1
-            dev = _invariance_fast(mu, pair, 100, RngStream(1234 + count))
+            dev = distribution_invariance(mu, pair, 100, RngStream(1234 + count))
             worst = max(worst, dev)
             assert dev < 1e-9, (mu, pair, dev)
     _report(
@@ -213,39 +213,6 @@ def test_criterion_7_invariance():
         120.0,
         f"{count} parameters x 100 trials, worst deviation {worst:.1e}",
     )
-
-
-def _invariance_fast(mu, pair, trials, rng):
-    # same contract as verify.distribution_invariance, with the exact data
-    # hoisted out of the trial loop
-    data = distribution_G(mu, pair)
-    pref = abs(data.prefactor).to_float()
-    g = rng.generator()
-    worst = 0.0
-    for _ in range(trials):
-        w = (
-            g.standard_normal((pair.l, pair.lp))
-            + 1j * g.standard_normal((pair.l, pair.lp))
-        ) / np.sqrt(2.0)
-        u = _haar(g, pair.l)
-        v = _haar(g, pair.lp)
-        base = _value(data, pref, w)
-        moved = _value(data, pref, u @ w @ v.conj().T)
-        worst = max(worst, abs(moved - base) / abs(base))
-    return worst
-
-
-def _haar(g, n):
-    z = (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))[None, :]
-
-
-def _value(data, pref, w):
-    y = intertwine.eigvalsh_jacobi(w @ w.conj().T)
-    z = 2.0 * pi * np.clip(y, 0.0, None)
-    return pref * np.exp(-z.sum()) * data.poly.eval_float(z)
 
 
 def test_criterion_8_vandermonde_variants():

@@ -7,10 +7,14 @@ import pytest
 from howedual.cli import main
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=_reject_constant)
 
 
 def test_correspond_payload(capsys):
@@ -176,3 +180,46 @@ def test_hd_seed_overrides(capsys, monkeypatch):
     )
     assert code == 0
     assert payload["seed"] == 9
+
+
+def test_negative_parameter_values_parse(capsys):
+    # every occurring mu' with l = l' is all-negative
+    code, payload = run_cli(
+        capsys, "dist", "--side", "gprime", "--l", "2", "--lp", "2", "--mu-prime", "-1/2,-3/2"
+    )
+    assert code == 0 and "poly" in payload
+    code, payload = run_cli(
+        capsys, "correspond", "--l", "2", "--lp", "2", "--back", "--mu-prime", "-1/2,-3/2"
+    )
+    assert code == 0
+    code, payload = run_cli(capsys, "occurs", "--l", "1", "--lp", "2", "--mu", "-1")
+    assert code == 1 and payload["occurs"] is False
+
+
+def test_non_finite_matrix_entry_is_usage_error(tmp_path, capsys):
+    mat = tmp_path / "w.json"
+    for entry in ("NaN", "Infinity", "1e400"):
+        mat.write_text(f"[[[{entry}, 0.0], [0.0, 0.3]]]")
+        for sub in ("eval", "dist"):
+            code, payload = run_cli(
+                capsys, sub, "--l", "1", "--lp", "2", "--mu", "2", "--at", str(mat)
+            )
+            assert code == 2 and "error" in payload
+
+
+def test_overflowing_matrix_is_domain_error(tmp_path, capsys):
+    mat = tmp_path / "w.json"
+    mat.write_text(json.dumps([[[1e200, 0.0], [0.0, 0.3]]]))  # w w^dagger overflows
+    for sub in ("eval", "dist"):
+        code, payload = run_cli(capsys, sub, "--l", "1", "--lp", "2", "--mu", "2", "--at", str(mat))
+        assert code == 1 and "error" in payload
+    # w w^dagger is finite, but the polynomial overflows at its eigenvalues
+    mat.write_text(json.dumps([[[1e150, 0], [0, 0], [0, 0]], [[0, 0], [1e150, 0], [0, 0]]]))
+    code, payload = run_cli(capsys, "eval", "--l", "2", "--lp", "3", "--mu", "6,4", "--at", str(mat))
+    assert code == 1 and "error" in payload
+
+
+def test_non_integer_hd_seed_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("HD_SEED", "abc")
+    code, payload = run_cli(capsys, "verify", "--suite", "dan_determinant", "--samples", "100")
+    assert code == 2 and "HD_SEED" in payload["error"]

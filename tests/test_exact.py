@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import pi
 
 import pytest
 
-from howedual import HalfInt, SymScalar, factorial, rising, sym_abs, sym_mul
+from howedual import HalfInt, SymScalar, det, factorial, rising
+from howedual.intertwine import perm_sign
 
 
 def test_factorial():
@@ -26,6 +28,66 @@ def test_rising_matches_factorial_quotient():
     for a in range(1, 12):
         for k in range(0, 8):
             assert rising(a, k) == factorial(a + k - 1) // factorial(a - 1)
+
+
+def test_rising_on_fractions():
+    assert rising(Fraction(1, 2), 3) == Fraction(15, 8)
+    assert rising(Fraction(-3, 2), 0) == 1
+
+
+def _leibniz(rows):
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        term = Fraction(perm_sign(perm))
+        for j in range(n):
+            term *= rows[j][perm[j]]
+        total += term
+    return total
+
+
+def test_det_matches_leibniz_randomized():
+    rng = random.Random(1968)
+    for n in range(7):
+        for _ in range(20 if n < 6 else 3):
+            rows = [[_random_fraction(rng) for _ in range(n)] for _ in range(n)]
+            assert det(rows) == _leibniz(rows)
+
+
+def test_det_small_cases():
+    assert det([]) == 1
+    assert det([[Fraction(-7, 3)]]) == Fraction(-7, 3)
+    assert det([[1, 2], [3, 4]]) == -2
+    assert isinstance(det([[2]]), Fraction)
+    with pytest.raises(ValueError):
+        det([[1, 2]])
+
+
+def test_det_singular():
+    rng = random.Random(5)
+    for n in range(2, 7):
+        rows = [[_random_fraction(rng) for _ in range(n)] for _ in range(n - 1)]
+        combo = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n - 1)]
+        rows.append([sum(c * r[k] for c, r in zip(combo, rows)) for k in range(n)])
+        rng.shuffle(rows)
+        assert det(rows) == 0 == _leibniz(rows)
+    # a zero column leaves no pivot to swap in
+    assert det([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
+
+
+def test_det_zero_pivot_row_swap():
+    # zero leading pivot: one swap flips the sign
+    assert det([[0, 1], [1, 0]]) == -1
+    rows = [[0, 2, 1], [3, 0, 1], [1, 1, 0]]
+    assert det(rows) == _leibniz(rows) == 5
+    # a pivot that turns zero only after the first elimination step
+    rows = [[1, 2, 3], [2, 4, 7], [1, 3, 5]]
+    assert det(rows) == _leibniz(rows)
+    rng = random.Random(8)
+    for n in range(2, 7):
+        rows = [[_random_fraction(rng) for _ in range(n)] for _ in range(n)]
+        rows[0][0] = Fraction(0)
+        assert det(rows) == _leibniz(rows)
 
 
 def test_halfint_parse_and_str():
@@ -68,10 +130,10 @@ def test_symscalar_canonical_form():
 
 def test_symscalar_products():
     sqrt2 = SymScalar(Fraction(1), 1)
-    assert sym_mul(sqrt2, sqrt2) == SymScalar(Fraction(2))
+    assert sqrt2 * sqrt2 == SymScalar(Fraction(2))
     # modulus drops i and the sign
     s = SymScalar(Fraction(1), 1, 1, 3)  # i^3 * 2^(1/2) * pi
-    assert sym_abs(s) == SymScalar(Fraction(1), 1, 1, 0)
+    assert abs(s) == SymScalar(Fraction(1), 1, 1, 0)
     # vol(U_2) = 8 pi^3
     vol_u2 = SymScalar(Fraction(1), 6, 3)
     assert vol_u2.to_float() == pytest.approx(8 * pi**3)
@@ -133,6 +195,6 @@ def test_symscalar_multiplicative_axioms_randomized():
         assert (x * y) * z == x * (y * z)
         assert x * y == y * x
         assert x * one == x
-        assert sym_abs(x * y) == sym_mul(sym_abs(x), sym_abs(y))
+        assert abs(x * y) == abs(x) * abs(y)
         # numeric consistency of the exact product
         assert (x * y).to_complex() == pytest.approx(x.to_complex() * y.to_complex())

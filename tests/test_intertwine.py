@@ -19,6 +19,7 @@ from howedual import (
     distribution_G,
     distribution_Gprime,
     divide_by_vandermonde,
+    eval_distribution,
     eval_on_W,
     multiplicity_one_check,
     mysterious_factor,
@@ -292,6 +293,29 @@ def test_jacobi_against_numpy():
             got = eigvalsh_jacobi(h)
             ref = np.sort(np.linalg.eigvalsh(h))[::-1]
             assert np.max(np.abs(got - ref)) < 1e-11
+
+
+def test_eval_distribution_matches_jacobi_reference():
+    rng = np.random.default_rng(34)
+    cases = [(H("4"), DualPair(1, 2)), (H("6,4"), DualPair(2, 3)), (H("8,6,4"), DualPair(3, 4))]
+    for mu, pair in cases:
+        data = distribution_G(mu, pair)
+        pref = abs(data.prefactor).to_float()
+        for _ in range(20):
+            w = rng.standard_normal((pair.l, pair.lp)) + 1j * rng.standard_normal((pair.l, pair.lp))
+            w /= np.sqrt(2.0)
+            z = 2 * pi * np.clip(eigvalsh_jacobi(w @ w.conj().T), 0.0, None)
+            ref = pref * np.exp(-z.sum()) * data.poly.eval_float(z)
+            assert abs(eval_distribution(data, pair, w) - ref) <= 1e-12 * abs(ref)
+
+
+def test_eval_distribution_rejects_non_finite():
+    pair = DualPair(1, 2)
+    data = distribution_G(H("2"), pair)
+    with pytest.raises(ValueError):
+        eval_distribution(data, pair, np.array([[np.nan, 0.0]]))
+    with pytest.raises(ValueError):
+        eval_distribution(data, pair, np.array([[1e200, 0.0]]))  # w w^dagger overflows
 
 
 def test_eval_on_W_at_zero():
