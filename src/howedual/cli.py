@@ -171,12 +171,18 @@ def _cmd_eval(args) -> tuple[int, dict]:
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
-    seed = args.seed
+    seed, source = args.seed, "--seed"
     if "HD_SEED" in os.environ:
+        source = "HD_SEED"
         try:
             seed = int(os.environ["HD_SEED"])
         except ValueError:
             raise UsageError(f"HD_SEED must be an integer, got {os.environ['HD_SEED']!r}") from None
+    # the seed is a Philox key
+    if not 0 <= seed < 2**128:
+        raise UsageError(f"{source} must be in [0, 2**128), got {seed}")
+    if args.samples < 1:
+        raise UsageError(f"--samples must be positive, got {args.samples}")
     summary = run_suite(args.suite.split(","), seed=seed, samples=args.samples)
     return (0 if summary["pass"] else 3), summary
 

@@ -8,13 +8,14 @@ quadrature or Monte Carlo on the analytic side, exact rational arithmetic
 on the combinatorial side.
 
 Randomness is counter-based (Philox): a draw depends only on
-(seed, counter), so sharded and sequential runs produce bit-identical
-estimates; per-block partial sums are reduced with ``math.fsum``, which is
+(seed, counter), so sharded, threaded and sequential runs produce
+bit-identical estimates; per-block partial sums are reduced with ``math.fsum``, which is
 exactly rounded and hence order-independent.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -54,6 +55,8 @@ CAYLEY_JACOBIAN_EXPONENT = {
 }
 
 _BLOCK = 1 << 17
+# rows per chunk inside a block: bounds the working set of a block in flight
+_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -110,20 +113,40 @@ def block_layout(samples: int, block: int = _BLOCK) -> list[tuple[int, int]]:
     return out
 
 
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def blocked_sums(rng: RngStream, samples: int, partial_sum, block: int = _BLOCK) -> list[float]:
-    """Per-block partial sums of ``samples`` draws.
+    """Per-block partial sums of ``samples`` draws, in block order.
 
     ``partial_sum(generator, m)`` must return the sum of m draws.  Block i
     uses the generator of ``rng.shard(i)``, so each block depends only on
     (seed, block index): workers may split the blocks arbitrarily and merge
-    by concatenating their lists.
+    by concatenating their lists.  Blocks run on a thread pool of up to one
+    thread per available CPU, so ``partial_sum`` must be thread-safe: no
+    shared mutable state, and no randomness but the generator it is given.
+    The list does not depend on the number of threads.
     """
-    return [partial_sum(rng.shard(i).generator(), m) for i, m in block_layout(samples, block)]
+    from concurrent.futures import ThreadPoolExecutor  # local: ~8 ms on every CLI start
+
+    def block_sum(index_size: tuple[int, int]) -> float:
+        i, m = index_size
+        return partial_sum(rng.shard(i).generator(), m)
+
+    layout = block_layout(samples, block)
+    with ThreadPoolExecutor(max_workers=max(1, min(_available_cpus(), len(layout)))) as pool:
+        return list(pool.map(block_sum, layout))
 
 
 def blocked_mean(rng: RngStream, samples: int, partial_sum, block: int = _BLOCK) -> float:
     """Mean over blocked draws; ``fsum`` of the block sums is exactly
     rounded, so the result is independent of the merge order."""
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
     return fsum(blocked_sums(rng, samples, partial_sum, block)) / samples
 
 
@@ -183,15 +206,20 @@ def cayley_volume_check(n: int, samples: int, rng: RngStream) -> McReport:
     box_volume = pi**2 * (2.0 * pi / np.sqrt(2.0)) ** 2
 
     def part(g: np.random.Generator, m: int) -> float:
+        # all h12 draws precede all h34 draws in the stream; h34 and the
+        # integrand go chunk by chunk, and one np.sum over the block keeps
+        # the rounding of the one-shot sum
         h12 = g.uniform(-pi / 2, pi / 2, size=(m, 2))
-        h34 = g.uniform(-pi / np.sqrt(2.0), pi / np.sqrt(2.0), size=(m, 2))
-        mean = (h12[:, 0] + h12[:, 1]) / 2.0
-        half_gap = np.sqrt(
-            ((h12[:, 0] - h12[:, 1]) / 2.0) ** 2 + (h34[:, 0] ** 2 + h34[:, 1] ** 2) / 2.0
-        )
-        inside = (np.abs(mean) + half_gap) < pi / 2
-        gap = 2.0 * half_gap
-        vals = np.where(inside, 16.0 * np.sinc(gap / pi) ** 2, 0.0)
+        vals = np.empty(m)
+        for s in range(0, m, _CHUNK):
+            e = min(s + _CHUNK, m)
+            h34 = g.uniform(-pi / np.sqrt(2.0), pi / np.sqrt(2.0), size=(e - s, 2))
+            a, b = h12[s:e, 0], h12[s:e, 1]
+            mean = (a + b) / 2.0
+            half_gap = np.sqrt(((a - b) / 2.0) ** 2 + (h34[:, 0] ** 2 + h34[:, 1] ** 2) / 2.0)
+            inside = (np.abs(mean) + half_gap) < pi / 2
+            gap = 2.0 * half_gap
+            vals[s:e] = np.where(inside, 16.0 * np.sinc(gap / pi) ** 2, 0.0)
         return float(np.sum(vals) * box_volume)
 
     est = blocked_mean(rng, samples, part)
@@ -259,11 +287,15 @@ def gaussian_vandermonde(
     gamma_norm = float(factorial(c)) ** l
 
     def part(g: np.random.Generator, m: int) -> float:
-        y = g.gamma(shape=c + 1, scale=1.0, size=(m, l))
+        # draws chunk by chunk (numpy fills sequentially, so the stream is
+        # the one-shot one); one np.sum over the block keeps its rounding
         v = np.ones(m)
-        for j in range(l):
-            for k in range(j + 1, l):
-                v *= (y[:, j] - y[:, k]) ** 2
+        for s in range(0, m, _CHUNK):
+            e = min(s + _CHUNK, m)
+            y = g.gamma(shape=c + 1, scale=1.0, size=(e - s, l))
+            for j in range(l):
+                for k in range(j + 1, l):
+                    v[s:e] *= (y[:, j] - y[:, k]) ** 2
         return float(np.sum(v) * gamma_norm)
 
     est = blocked_mean(rng, samples, part)

@@ -223,3 +223,34 @@ def test_non_integer_hd_seed_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("HD_SEED", "abc")
     code, payload = run_cli(capsys, "verify", "--suite", "dan_determinant", "--samples", "100")
     assert code == 2 and "HD_SEED" in payload["error"]
+
+
+def test_zero_samples_is_usage_error(capsys):
+    code, payload = run_cli(capsys, "verify", "--suite", "cayley_volume", "--samples=0")
+    assert code == 2 and "--samples" in payload["error"]
+
+
+def test_negative_samples_is_usage_error(capsys):
+    code, payload = run_cli(capsys, "verify", "--suite", "cayley_volume", "--samples=-5")
+    assert code == 2 and "--samples" in payload["error"]
+
+
+def test_negative_seed_is_usage_error(capsys):
+    code, payload = run_cli(capsys, "verify", "--suite", "dan_determinant", "--seed=-1")
+    assert code == 2 and "--seed" in payload["error"]
+
+
+def test_negative_hd_seed_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("HD_SEED", "-3")
+    code, payload = run_cli(capsys, "verify", "--suite", "dan_determinant")
+    assert code == 2 and "HD_SEED" in payload["error"]
+
+
+def test_seed_beyond_philox_key_is_usage_error(capsys):
+    code, payload = run_cli(capsys, "verify", "--suite", "dan_determinant", "--seed", str(2**128))
+    assert code == 2 and "--seed" in payload["error"]
+    # the largest key still runs
+    code, payload = run_cli(
+        capsys, "verify", "--suite", "dan_determinant", "--seed", str(2**128 - 1)
+    )
+    assert code == 0 and payload["seed"] == 2**128 - 1

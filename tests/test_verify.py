@@ -6,6 +6,7 @@ from math import factorial, fsum, pi
 import numpy as np
 import pytest
 
+from howedual import verify
 from howedual import (
     DualPair,
     HCParam,
@@ -53,6 +54,86 @@ def test_blocked_sums_shard_merge():
     assert worker_a + worker_b == full
     # fsum is exactly rounded, so the merge order cannot change the mean
     assert fsum(worker_b + worker_a) / n == blocked_mean(RngStream(3), n, part)
+
+
+def test_blocked_sums_worker_count_independent(monkeypatch):
+    def part(g, m):
+        return float(np.sum(g.random(m)))
+
+    n = 1_000_000
+    several = blocked_sums(RngStream(3), n, part)
+    monkeypatch.setattr(verify, "_available_cpus", lambda: 8)
+    assert blocked_sums(RngStream(3), n, part) == several
+    monkeypatch.setattr(verify, "_available_cpus", lambda: 1)
+    assert blocked_sums(RngStream(3), n, part) == several
+
+
+def test_blocked_sums_propagates_errors():
+    def part(g, m):
+        if m < 1 << 17:  # the last, partial block
+            raise RuntimeError("block failed")
+        return float(np.sum(g.random(m)))
+
+    with pytest.raises(RuntimeError, match="block failed"):
+        blocked_sums(RngStream(3), 400_000, part)
+
+
+def test_blocked_mean_needs_samples():
+    with pytest.raises(ValueError):
+        blocked_mean(RngStream(0), 0, lambda g, m: 0.0)
+    with pytest.raises(ValueError):
+        gaussian_vandermonde(1, 0, RngStream(0), samples=-5)
+
+
+def _serial_mean(rng, samples, part):
+    return fsum(part(rng.shard(i).generator(), m) for i, m in block_layout(samples)) / samples
+
+
+def _gaussian_vandermonde_one_shot(l, c, rng, samples):
+    """The estimate with every block drawn in one call and no threads."""
+    gamma_norm = float(factorial(c)) ** l
+
+    def part(g, m):
+        y = g.gamma(shape=c + 1, scale=1.0, size=(m, l))
+        v = np.ones(m)
+        for j in range(l):
+            for k in range(j + 1, l):
+                v *= (y[:, j] - y[:, k]) ** 2
+        return float(np.sum(v) * gamma_norm)
+
+    return _serial_mean(rng, samples, part)
+
+
+def _cayley_volume_one_shot(rng, samples):
+    """The n = 2 estimate with every block drawn in one call and no threads."""
+    box_volume = pi**2 * (2.0 * pi / np.sqrt(2.0)) ** 2
+
+    def part(g, m):
+        h12 = g.uniform(-pi / 2, pi / 2, size=(m, 2))
+        h34 = g.uniform(-pi / np.sqrt(2.0), pi / np.sqrt(2.0), size=(m, 2))
+        mean = (h12[:, 0] + h12[:, 1]) / 2.0
+        half_gap = np.sqrt(
+            ((h12[:, 0] - h12[:, 1]) / 2.0) ** 2 + (h34[:, 0] ** 2 + h34[:, 1] ** 2) / 2.0
+        )
+        inside = (np.abs(mean) + half_gap) < pi / 2
+        gap = 2.0 * half_gap
+        vals = np.where(inside, 16.0 * np.sinc(gap / pi) ** 2, 0.0)
+        return float(np.sum(vals) * box_volume)
+
+    return _serial_mean(rng, samples, part)
+
+
+def test_chunked_threaded_estimates_are_bit_identical():
+    # 300 000 samples: two full blocks and a partial one that ends in a
+    # partial chunk
+    n = 300_000
+    assert [m for _, m in block_layout(n)][-1] % 8192 != 0
+    for c in range(4):
+        _, rep = gaussian_vandermonde(3, c, RngStream(11), samples=n)
+        assert rep.estimate == _gaussian_vandermonde_one_shot(3, c, RngStream(11), n)
+    for seed in (0, 5):
+        rep = cayley_volume_check(2, n, RngStream(seed))
+        assert rep.estimate == _cayley_volume_one_shot(RngStream(seed), n)
 
 
 def test_haar_unitary_properties():
