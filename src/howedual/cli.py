@@ -37,7 +37,7 @@ from .reps import (
     occurs_G_reason,
     occurs_Gprime_reason,
 )
-from .verify import run_suite
+from .verify import check_suite_names, run_suite
 
 __all__ = ["main", "build_parser"]
 
@@ -183,7 +183,12 @@ def _cmd_verify(args) -> tuple[int, dict]:
         raise UsageError(f"{source} must be in [0, 2**128), got {seed}")
     if args.samples < 1:
         raise UsageError(f"--samples must be positive, got {args.samples}")
-    summary = run_suite(args.suite.split(","), seed=seed, samples=args.samples)
+    names = args.suite.split(",")
+    try:
+        check_suite_names(names)
+    except ValueError as exc:
+        raise UsageError(f"--suite: {exc}") from None
+    summary = run_suite(names, seed=seed, samples=args.samples)
     return (0 if summary["pass"] else 3), summary
 
 

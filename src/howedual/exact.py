@@ -201,10 +201,6 @@ class SymScalar:
         return cls(Fraction(1))
 
     @classmethod
-    def from_rational(cls, r) -> "SymScalar":
-        return cls(Fraction(r))
-
-    @classmethod
     def two_pi_power(cls, k: int) -> "SymScalar":
         """(2*pi)^k."""
         return cls(Fraction(1), 2 * k, k, 0)
@@ -213,9 +209,6 @@ class SymScalar:
 
     def is_zero(self) -> bool:
         return self.rat == 0
-
-    def is_real(self) -> bool:
-        return self.i_pow == 0
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -7,9 +7,11 @@ slice with coordinates z_j = 2*pi*y_j (y_j the eigenvalues of w w*),
 
 where Q is the symmetric polynomial obtained by skew-symmetrizing
 prod_j P_{a_j,b_j,2}(z_j) and dividing exactly by the Vandermonde
-prod_{j<k} (z_j - z_k).  All pi-, i- and sqrt(2)-powers (including the
-beta = 2*pi change of variable and the i-powers of the root product) live
-in the SymScalar prefactor, so the polynomial side stays rational.
+prod_{j<k} (z_j - z_k), a composition of l(l-1)/2 elementary divided
+differences (p - s_i p) / (z_i - z_{i+1}).  All pi-, i- and sqrt(2)-powers
+(including the beta = 2*pi change of variable and the i-powers of the root
+product) live in the SymScalar prefactor, so the polynomial side stays
+rational.
 
 The module also carries the full normalization-constant chain, the two
 independent value-at-zero computations, and the multiplicity-one identity
@@ -133,9 +135,6 @@ class MultiPoly:
     def coefficient(self, e) -> Fraction:
         return self.terms.get(tuple(e), Fraction(0))
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
     # -- algebra ------------------------------------------------------------
 
     def _check(self, other: "MultiPoly"):
@@ -188,16 +187,6 @@ class MultiPoly:
             if self.permuted(perm) != self:
                 return False
         return True
-
-    def eval_exact(self, point) -> Fraction:
-        vals = [Fraction(p) for p in point]
-        out = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for v, d in zip(vals, e):
-                term *= v**d
-            out += term
-        return out
 
     def eval_float(self, point) -> float:
         out = 0.0
@@ -264,64 +253,53 @@ def p_mu_product(mu: HCParam, pair: DualPair) -> MultiPoly:
 
 def skew_symmetrize(p: MultiPoly) -> MultiPoly:
     """sum over permutations s of sgn(s) * (p with variables relabeled by s)."""
-    out = MultiPoly.zero(p.nvars)
+    terms: dict[tuple[int, ...], Fraction] = {}
     for perm in permutations(range(p.nvars)):
-        term = p.permuted(perm) * perm_sign(perm)
-        out = out + term
-    return out
+        sign = perm_sign(perm)
+        for e, c in p.permuted(perm).terms.items():
+            terms[e] = terms.get(e, 0) + sign * c
+    return MultiPoly(p.nvars, terms)
 
 
-def _divide_linear(p: MultiPoly, j: int, k: int) -> tuple[MultiPoly, MultiPoly]:
-    """Divide with remainder by (z_j - z_k) via synthetic division in z_j."""
-    n = p.nvars
-    slices: dict[int, dict[tuple[int, ...], Fraction]] = {}
+def _divided_difference(p: MultiPoly, i: int) -> MultiPoly:
+    """(p - s_i p) / (z_i - z_{i+1}), where s_i swaps z_i and z_{i+1}.
+
+    Termwise: z_i^a z_{i+1}^b goes to sum_{k<a-b} z_i^(a-1-k) z_{i+1}^(b+k)
+    for a > b, to minus the same sum with a and b exchanged for a < b, and
+    to 0 for a = b.
+    """
+    terms: dict[tuple[int, ...], Fraction] = {}
     for e, c in p.terms.items():
-        d = e[j]
-        e0 = e[:j] + (0,) + e[j + 1 :]
-        slices.setdefault(d, {})[e0] = slices.get(d, {}).get(e0, Fraction(0)) + c
-    if not slices:
-        return MultiPoly.zero(n), MultiPoly.zero(n)
-    top = max(slices)
-    coeffs = [MultiPoly(n, slices.get(d, {})) for d in range(top + 1)]
-
-    def times_zk(q: MultiPoly) -> MultiPoly:
-        terms = {}
-        for e, c in q.terms.items():
-            f = list(e)
-            f[k] += 1
-            terms[tuple(f)] = c
-        return MultiPoly(n, terms)
-
-    quot_slices: list[MultiPoly] = [MultiPoly.zero(n)] * top
-    carry = MultiPoly.zero(n)
-    for d in range(top, 0, -1):
-        carry = coeffs[d] + times_zk(carry)
-        quot_slices[d - 1] = carry
-    remainder = coeffs[0] + times_zk(carry)
-
-    quot_terms: dict[tuple[int, ...], Fraction] = {}
-    for d, q in enumerate(quot_slices):
-        for e, c in q.terms.items():
-            f = list(e)
-            f[j] += d
-            quot_terms[tuple(f)] = quot_terms.get(tuple(f), Fraction(0)) + c
-    return MultiPoly(n, quot_terms), remainder
+        a, b = e[i], e[i + 1]
+        if a < b:
+            a, b, c = b, a, -c
+        for k in range(a - b):
+            f = e[:i] + (a - 1 - k, b + k) + e[i + 2 :]
+            terms[f] = terms.get(f, 0) + c
+    return MultiPoly(p.nvars, terms)
 
 
 def divide_by_vandermonde(q: MultiPoly) -> MultiPoly:
-    """Exact quotient by prod_{j<k} (z_j - z_k); raises on nonzero remainder.
+    """Exact quotient of a skew-symmetric q by prod_{j<k} (z_j - z_k).
 
-    A nonzero remainder means the input was not skew-symmetric.
+    Raises ValueError unless q changes sign under every swap of adjacent
+    variables, even where the quotient would exist (z_1 (z_1 - z_2) is
+    refused).  A skew-symmetric q is the skew sum of q+, its terms with
+    strictly decreasing exponents, so q / V is the top divided difference
+    of q+ (Bernstein-Gelfand-Gelfand), applied as l(l-1)/2 elementary
+    divided differences along a reduced word of the longest permutation.
     """
-    out = q
-    for j in range(q.nvars):
-        for k in range(j + 1, q.nvars):
-            out, rem = _divide_linear(out, j, k)
-            if not rem.is_zero():
-                raise ValueError(
-                    f"nonzero remainder dividing by (z_{j + 1} - z_{k + 1}); "
-                    "input is not skew-symmetric"
-                )
+    l = q.nvars
+    for i in range(l - 1):
+        swap = list(range(l))
+        swap[i], swap[i + 1] = i + 1, i
+        if q.permuted(swap) != -q:
+            raise ValueError(f"input is not skew-symmetric in (z_{i + 1}, z_{i + 2})")
+    strict = {e: c for e, c in q.terms.items() if all(x > y for x, y in zip(e, e[1:]))}
+    out = MultiPoly(l, strict)
+    for j in range(l - 1, 0, -1):
+        for i in range(j):
+            out = _divided_difference(out, i)
     return out
 
 
@@ -609,13 +587,13 @@ def multiplicity_one_check(mu: HCParam, pair: DualPair) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def eigvalsh_jacobi(h, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
+def eigvalsh_jacobi(h) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations.
 
     Returns the eigenvalues in decreasing order.  This is the independent
     reference the LAPACK path of ``eval_distribution`` is tested against;
     raises RuntimeError if the off-diagonal mass does not fall below
-    ``tol`` within ``max_sweeps`` sweeps.
+    1e-12 (relative) within 100 sweeps.
     """
     a = np.array(h, dtype=complex)
     n = a.shape[0]
@@ -624,9 +602,9 @@ def eigvalsh_jacobi(h, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
     if n == 1:
         return np.array([a[0, 0].real])
     scale = max(1.0, float(np.linalg.norm(a)))
-    for _ in range(max_sweeps):
+    for _ in range(100):
         off = np.sqrt(sum(abs(a[p, q]) ** 2 for p in range(n) for q in range(n) if p != q))
-        if off <= tol * scale:
+        if off <= 1e-12 * scale:
             return np.sort(np.diag(a).real)[::-1]
         for p in range(n - 1):
             for q in range(p + 1, n):

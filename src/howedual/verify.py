@@ -42,6 +42,7 @@ __all__ = [
     "cayley_invariance_check",
     "distribution_invariance",
     "cw_identity_check",
+    "check_suite_names",
     "run_suite",
 ]
 
@@ -55,6 +56,8 @@ CAYLEY_JACOBIAN_EXPONENT = {
 }
 
 _BLOCK = 1 << 17
+# Philox counter distance between shards: no shard reaches the next one
+_SHARD_STRIDE = 1 << 40
 # rows per chunk inside a block: bounds the working set of a block in flight
 _CHUNK = 8192
 
@@ -72,8 +75,8 @@ class RngStream:
             bg.advance(self.counter)
         return np.random.Generator(bg)
 
-    def shard(self, index: int, stride: int = 1 << 40) -> "RngStream":
-        return RngStream(self.seed, self.counter + index * stride)
+    def shard(self, index: int) -> "RngStream":
+        return RngStream(self.seed, self.counter + index * _SHARD_STRIDE)
 
 
 @dataclass(frozen=True)
@@ -100,13 +103,13 @@ class McReport:
         }
 
 
-def block_layout(samples: int, block: int = _BLOCK) -> list[tuple[int, int]]:
+def block_layout(samples: int) -> list[tuple[int, int]]:
     """The (index, size) blocks a sample budget is split into."""
     out = []
     done = 0
     i = 0
     while done < samples:
-        m = min(block, samples - done)
+        m = min(_BLOCK, samples - done)
         out.append((i, m))
         done += m
         i += 1
@@ -120,7 +123,7 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def blocked_sums(rng: RngStream, samples: int, partial_sum, block: int = _BLOCK) -> list[float]:
+def blocked_sums(rng: RngStream, samples: int, partial_sum) -> list[float]:
     """Per-block partial sums of ``samples`` draws, in block order.
 
     ``partial_sum(generator, m)`` must return the sum of m draws.  Block i
@@ -137,17 +140,17 @@ def blocked_sums(rng: RngStream, samples: int, partial_sum, block: int = _BLOCK)
         i, m = index_size
         return partial_sum(rng.shard(i).generator(), m)
 
-    layout = block_layout(samples, block)
+    layout = block_layout(samples)
     with ThreadPoolExecutor(max_workers=max(1, min(_available_cpus(), len(layout)))) as pool:
         return list(pool.map(block_sum, layout))
 
 
-def blocked_mean(rng: RngStream, samples: int, partial_sum, block: int = _BLOCK) -> float:
+def blocked_mean(rng: RngStream, samples: int, partial_sum) -> float:
     """Mean over blocked draws; ``fsum`` of the block sums is exactly
     rounded, so the result is independent of the merge order."""
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
-    return fsum(blocked_sums(rng, samples, partial_sum, block)) / samples
+    return fsum(blocked_sums(rng, samples, partial_sum)) / samples
 
 
 def haar_unitary(n: int, rng: RngStream, count: int | None = None) -> np.ndarray:
@@ -456,12 +459,17 @@ def _random_fraction(g: np.random.Generator) -> Fraction:
     return Fraction(int(g.integers(-24, 25)), int(g.integers(1, 13)))
 
 
+def check_suite_names(names) -> None:
+    """Raise ValueError unless every name is 'all' or one of ``SUITES``."""
+    unknown = [n for n in names if n != "all" and n not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown suite(s): {', '.join(map(repr, unknown))}")
+
+
 def run_suite(names, seed: int, samples: int) -> dict:
     """Run the requested verification suites and collect a JSON-able summary."""
+    check_suite_names(names)
     wanted = list(SUITES) if "all" in names else list(names)
-    unknown = [n for n in wanted if n not in SUITES]
-    if unknown:
-        raise ValueError(f"unknown suite(s): {', '.join(unknown)}")
     checks = []
 
     def add(name: str, ok: bool, detail: dict):

@@ -254,3 +254,18 @@ def test_seed_beyond_philox_key_is_usage_error(capsys):
         capsys, "verify", "--suite", "dan_determinant", "--seed", str(2**128 - 1)
     )
     assert code == 0 and payload["seed"] == 2**128 - 1
+
+
+def test_unknown_suite_is_usage_error(capsys):
+    code, payload = run_cli(capsys, "verify", "--suite", "nope", "--samples", "100")
+    assert code == 2 and "'nope'" in payload["error"]
+
+
+def test_empty_suite_is_usage_error(capsys):
+    code, payload = run_cli(capsys, "verify", "--suite", "", "--samples", "100")
+    assert code == 2 and "--suite" in payload["error"]
+
+
+def test_unknown_suite_next_to_all_is_usage_error(capsys):
+    code, payload = run_cli(capsys, "verify", "--suite", "all,nope", "--samples", "100")
+    assert code == 2 and "'nope'" in payload["error"]

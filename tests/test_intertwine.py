@@ -31,6 +31,7 @@ from howedual import (
     vol_unitary,
 )
 from howedual.intertwine import (
+    _divided_difference,
     eigvalsh_jacobi,
     perm_sign,
     signed_vandermonde,
@@ -93,19 +94,53 @@ def test_divide_by_vandermonde():
     # symmetric nonzero input is not divisible
     with pytest.raises(ValueError):
         divide_by_vandermonde(P(2, {(1, 1): 1}))
+    # z1 - z2 in three variables is skew in (z1, z2) only
+    with pytest.raises(ValueError):
+        divide_by_vandermonde(P(3, {(1, 0, 0): 1, (0, 1, 0): -1}))
+    # z1 (z1 - z2) is divisible but not skew-symmetric, so it is refused
+    with pytest.raises(ValueError):
+        divide_by_vandermonde(P(2, {(2, 0): 1, (1, 1): -1}))
+
+
+def test_divided_difference_times_linear_factor():
+    # (z_i - z_{i+1}) * d_i f == f - s_i f, checked by multiplication
+    rng = random.Random(17)
+    for nv in (2, 3, 4):
+        for _ in range(15):
+            f = MultiPoly(
+                nv,
+                {
+                    tuple(rng.randint(0, 4) for _ in range(nv)): Fraction(
+                        rng.randint(-6, 6), rng.randint(1, 3)
+                    )
+                    for _ in range(5)
+                },
+            )
+            for i in range(nv - 1):
+                swap = list(range(nv))
+                swap[i], swap[i + 1] = i + 1, i
+                z_i = tuple(int(k == i) for k in range(nv))
+                z_next = tuple(int(k == i + 1) for k in range(nv))
+                linear = P(nv, {z_i: 1, z_next: -1})
+                assert linear * _divided_difference(f, i) == f - f.permuted(swap)
 
 
 def test_divide_times_vandermonde_round_trip():
     rng = random.Random(9)
-    for _ in range(25):
-        nv = rng.randint(2, 3)
-        f = MultiPoly(
+    inputs = [
+        MultiPoly(
             nv,
             {
                 tuple(rng.randint(0, 2) for _ in range(nv)): Fraction(rng.randint(-4, 4))
                 for _ in range(3)
             },
         )
+        for nv in (rng.randint(2, 3) for _ in range(25))
+    ]
+    # the products the distributions are built from
+    inputs += [p_mu_product(mu, pair) for pair in all_pairs() for mu in occurring_params(pair)]
+    for f in inputs:
+        nv = f.nvars
         skew = skew_symmetrize(f)
         if skew.is_zero():
             continue

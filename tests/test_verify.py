@@ -337,3 +337,8 @@ def test_run_suite_fast_subset():
     assert "forrester_warnaar_n2" in names and "cw_identity_2_2" in names
     with pytest.raises(ValueError):
         run_suite(["nope"], seed=0, samples=10)
+
+
+def test_run_suite_rejects_unknown_next_to_all():
+    with pytest.raises(ValueError, match="nope"):
+        run_suite(["all", "nope"], seed=0, samples=10)
