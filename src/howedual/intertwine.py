@@ -13,8 +13,16 @@ differences (p - s_i p) / (z_i - z_{i+1}).  All pi-, i- and sqrt(2)-powers
 product) live in the SymScalar prefactor, so the polynomial side stays
 rational.
 
+The product, the skew sum and the division clear denominators once and
+run on integer numerators: the skew sum collects each term on the strictly
+decreasing representative of its orbit and expands every representative
+once, and the divided differences act on the integer coefficient dict.
+A product or skew sum past MAX_TERMS terms (predicted before it is
+expanded) raises ValueError instead of exhausting memory.
+
 The module also carries the full normalization-constant chain, the two
-independent value-at-zero computations, and the multiplicity-one identity
+independent value-at-zero computations (the closed factorial form and the
+l x l minor of derivative values at 0), and the multiplicity-one identity
 |T(0)| = 2 * vol(U_l) * dim Pi'.
 """
 
@@ -23,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import exp, factorial, isfinite, pi
+from math import exp, factorial, isfinite, lcm, pi
 
 import numpy as np
 
@@ -48,8 +56,6 @@ __all__ = [
     "p_mu_product",
     "skew_symmetrize",
     "divide_by_vandermonde",
-    "signed_vandermonde",
-    "vandermonde_derivative_at_zero",
     "vol_unitary",
     "constants",
     "distribution_G",
@@ -62,6 +68,11 @@ __all__ = [
     "eval_on_W",
     "eigvalsh_jacobi",
 ]
+
+# Largest product or skew sum the exact core expands: admits l = 6 at
+# mu_j = delta + 2(l-1-j) + 3 (322,560 product and 1,441,440 skew terms)
+# and refuses l = 7 there (5,160,960 product terms) before expanding it.
+MAX_TERMS = 4_000_000
 
 
 def perm_sign(perm) -> int:
@@ -106,18 +117,12 @@ class MultiPoly:
         return cls(nvars)
 
     @classmethod
-    def constant(cls, nvars: int, c) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
-
-    @classmethod
-    def from_univariate(cls, p: UniPoly, var: int, nvars: int) -> "MultiPoly":
-        terms = {}
-        for d, c in enumerate(p.coeffs):
-            if c != 0:
-                e = [0] * nvars
-                e[var] = d
-                terms[tuple(e)] = c
-        return cls(nvars, terms)
+    def _wrap(cls, nvars: int, terms: dict) -> "MultiPoly":
+        """Adopt a dict of nonzero Fractions without the copying pass of __init__."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        return out
 
     # -- structure ----------------------------------------------------------
 
@@ -239,11 +244,13 @@ class MultiPoly:
 
 
 def _product(factors: list[UniPoly], l: int) -> MultiPoly:
-    """prod_j factors[j](z_j) in l variables."""
-    out = MultiPoly.constant(l, 1)
-    for j, p in enumerate(factors):
-        out = out * MultiPoly.from_univariate(p, j, l)
-    return out
+    """prod_j factors[j](z_j) in l variables, multiplied out on integer numerators."""
+    den, terms = 1, {(): 1}
+    for p in factors:
+        d, num = _numerators(dict(enumerate(p.coeffs)))
+        den *= d
+        terms = {e + (k,): n * m for e, n in terms.items() for k, m in num.items() if m}
+    return MultiPoly._wrap(l, {e: Fraction(n, den) for e, n in terms.items()})
 
 
 def p_mu_product(mu: HCParam, pair: DualPair) -> MultiPoly:
@@ -251,32 +258,74 @@ def p_mu_product(mu: HCParam, pair: DualPair) -> MultiPoly:
     return _product([pab2(a, b) for a, b in ab_params(mu, pair)], pair.l)
 
 
+def _numerators(terms: dict) -> tuple[int, dict]:
+    """(den, {e: c * den}) with den the lcm of the coefficient denominators."""
+    den = lcm(*{c.denominator for c in terms.values()})
+    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+
+
+def _check_size(terms: int, what: str):
+    if terms > MAX_TERMS:
+        raise ValueError(f"{what} would have {terms} terms, past the limit of {MAX_TERMS}")
+
+
 def skew_symmetrize(p: MultiPoly) -> MultiPoly:
-    """sum over permutations s of sgn(s) * (p with variables relabeled by s)."""
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for perm in permutations(range(p.nvars)):
-        sign = perm_sign(perm)
-        for e, c in p.permuted(perm).terms.items():
-            terms[e] = terms.get(e, 0) + sign * c
-    return MultiPoly(p.nvars, terms)
+    """sum over permutations s of sgn(s) * (p with variables relabeled by s).
+
+    Each term is moved onto the strictly decreasing representative of its
+    orbit with the sign of the sorting permutation (terms with a repeated
+    exponent cancel), and each surviving representative's orbit is expanded
+    once.  The representatives keep the order in which the plain sum first
+    reaches them, so the quotient's terms come out in the same order.
+    """
+    l = p.nvars
+    den, num = _numerators(p.terms)
+    plus: dict[tuple[int, ...], int] = {}
+    first: dict[tuple[int, ...], tuple] = {}
+    for index, (e, n) in enumerate(num.items()):
+        order = sorted(range(l), key=e.__getitem__, reverse=True)
+        f = tuple([e[i] for i in order])
+        if len(set(f)) < l:
+            continue
+        rank = [0] * l
+        for k, i in enumerate(order):
+            rank[i] = k
+        # the plain sum reaches f from e under the permutation rank
+        key = (rank, index)
+        plus[f] = plus.get(f, 0) + perm_sign(order) * n
+        if f not in first or key < first[f]:
+            first[f] = key
+    reps = sorted((f for f, n in plus.items() if n), key=first.__getitem__)
+    _check_size(factorial(l) * len(reps), "the skew sum")
+    return MultiPoly._wrap(l, dict(_orbit_terms({f: Fraction(plus[f], den) for f in reps}, l)))
 
 
-def _divided_difference(p: MultiPoly, i: int) -> MultiPoly:
-    """(p - s_i p) / (z_i - z_{i+1}), where s_i swaps z_i and z_{i+1}.
+def _orbit_terms(plus: dict, l: int):
+    """(s f, sgn(s) c) for every term f: c of plus and every permutation s."""
+    signed = {1: list(plus.values()), -1: [-c for c in plus.values()]}
+    for perm in permutations(range(l)):
+        for f, c in zip(plus, signed[perm_sign(perm)]):
+            yield tuple([f[k] for k in perm]), c
+
+
+def _divided_difference(terms: dict, i: int) -> dict:
+    """(p - s_i p) / (z_i - z_{i+1}) on a coefficient dict, where s_i swaps
+    z_i and z_{i+1}; zero coefficients are dropped.
 
     Termwise: z_i^a z_{i+1}^b goes to sum_{k<a-b} z_i^(a-1-k) z_{i+1}^(b+k)
     for a > b, to minus the same sum with a and b exchanged for a < b, and
     to 0 for a = b.
     """
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for e, c in p.terms.items():
+    out: dict = {}
+    for e, c in terms.items():
         a, b = e[i], e[i + 1]
         if a < b:
             a, b, c = b, a, -c
+        head, tail = e[:i], e[i + 2 :]
         for k in range(a - b):
-            f = e[:i] + (a - 1 - k, b + k) + e[i + 2 :]
-            terms[f] = terms.get(f, 0) + c
-    return MultiPoly(p.nvars, terms)
+            f = head + (a - 1 - k, b + k) + tail
+            out[f] = out.get(f, 0) + c
+    return {f: c for f, c in out.items() if c}
 
 
 def divide_by_vandermonde(q: MultiPoly) -> MultiPoly:
@@ -290,47 +339,15 @@ def divide_by_vandermonde(q: MultiPoly) -> MultiPoly:
     divided differences along a reduced word of the longest permutation.
     """
     l = q.nvars
-    for i in range(l - 1):
-        swap = list(range(l))
-        swap[i], swap[i + 1] = i + 1, i
-        if q.permuted(swap) != -q:
-            raise ValueError(f"input is not skew-symmetric in (z_{i + 1}, z_{i + 2})")
-    strict = {e: c for e, c in q.terms.items() if all(x > y for x, y in zip(e, e[1:]))}
-    out = MultiPoly(l, strict)
+    den, num = _numerators(q.terms)
+    out = {e: n for e, n in num.items() if all(x > y for x, y in zip(e, e[1:]))}
+    # q is skew-symmetric exactly when it is the skew sum of q+
+    if factorial(l) * len(out) != len(num) or any(num.get(g) != n for g, n in _orbit_terms(out, l)):
+        raise ValueError("input is not skew-symmetric")
     for j in range(l - 1, 0, -1):
         for i in range(j):
             out = _divided_difference(out, i)
-    return out
-
-
-def signed_vandermonde(l: int) -> MultiPoly:
-    """sum_s sgn(s) prod_j z_j^(s(j)-1); this is (-1)^(l(l-1)/2) times
-    prod_{j<k} (z_j - z_k)."""
-    terms = {}
-    for perm in permutations(range(l)):
-        e = tuple(perm[j] for j in range(l))
-        terms[e] = Fraction(perm_sign(perm))
-    return MultiPoly(l, terms)
-
-
-def vandermonde_derivative_at_zero(p: MultiPoly) -> Fraction:
-    """Apply sum_s sgn(s) d_1^(s(1)-1) ... d_l^(s(l)-1) and evaluate at 0.
-
-    On a product of the form ``signed_vandermonde(l) * f`` this returns
-    (prod_{k=1}^{l} k!) * f(0) exactly.
-    """
-    l = p.nvars
-    out = Fraction(0)
-    for perm in permutations(range(l)):
-        e = tuple(perm[j] for j in range(l))
-        c = p.terms.get(e)
-        if c is None:
-            continue
-        fac = 1
-        for d in e:
-            fac *= factorial(d)
-        out += perm_sign(perm) * fac * c
-    return out
+    return MultiPoly._wrap(l, {e: Fraction(n, den) for e, n in out.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +442,10 @@ class DistributionData:
 
 
 def _pipeline(factors: list[UniPoly], l: int) -> MultiPoly:
+    size = 1
+    for p in factors:
+        size *= p.degree + 1
+    _check_size(size, "the product")
     return divide_by_vandermonde(skew_symmetrize(_product(factors, l)))
 
 
@@ -548,29 +569,26 @@ def value_at_zero_closed(mu: HCParam, pair: DualPair) -> SymScalar:
 
 
 def value_at_zero_oracle(mu: HCParam, pair: DualPair) -> SymScalar:
-    """|T(0)| via the differential operator dual to the root product.
+    """|T(0)| from the minor det[(d^k P_j)(0)], j = 1..l, k = 0..l-1.
 
-    Applies sum_s sgn(s) d^(s(1)-1)...d^(s(l)-1) to the exact skew sum and
-    evaluates at 0; cross-checked internally against |W| det[(d^k P_j)(0)],
-    the determinant of the derivative values at 0 (k = 0..l-1).
+    Applying the operator dual to the root product to the skew sum and
+    evaluating at 0 gives l! times this minor, so it is the value at zero
+    of the invariant polynomial without building it: O(l^3) through
+    ``exact.det``.
     """
     if not occurs_G(mu, pair):
         raise ValueError("parameter does not occur")
-    l = pair.l
-    skew = skew_symmetrize(p_mu_product(mu, pair))
-    d_skew = vandermonde_derivative_at_zero(skew)
     # d^k P_{a,b,2} = P_{a,b-k,2}, so the derivative value at 0 is the
     # constant term of the lowered-index polynomial.
     ab = ab_params(mu, pair)
-    minor = det([[pab2(a, b - k).coefficient(0) for k in range(l)] for a, b in ab])
-    assert d_skew == factorial(l) * minor
-    return _value_prefactor(pair) * Fraction(abs(d_skew), factorial(l))
+    minor = det([[pab2(a, b - k).coefficient(0) for k in range(pair.l)] for a, b in ab])
+    return _value_prefactor(pair) * abs(minor)
 
 
 def multiplicity_one_check(mu: HCParam, pair: DualPair) -> bool:
     """|T(0)| = 2 vol(U_l) dim Pi' computed three ways.
 
-    The closed factorial form, the differential-operator oracle and the
+    The closed factorial form, the minor of derivative values at 0 and the
     target 2 vol(U_l) dim Pi' must agree exactly as symbolic scalars.
     """
     if not occurs_G(mu, pair):

@@ -1,6 +1,10 @@
 """CLI subcommands: payloads, exit codes, determinism, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -269,3 +273,18 @@ def test_empty_suite_is_usage_error(capsys):
 def test_unknown_suite_next_to_all_is_usage_error(capsys):
     code, payload = run_cli(capsys, "verify", "--suite", "all,nope", "--samples", "100")
     assert code == 2 and "'nope'" in payload["error"]
+
+
+def test_dist_past_the_size_limit_fails_at_once():
+    # l = 7 at mu_j = delta + 2(l-1-j) + 3 has 5,160,960 product terms
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = ["dist", "--l", "7", "--lp", "8", "--mu", "16,14,12,10,8,6,4"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "howedual", *argv], env=env, capture_output=True, timeout=30
+    )
+    assert proc.returncode == 1
+    payload = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert set(payload) == {"error"} and "5160960" in payload["error"]
+    assert b"Traceback" not in proc.stderr

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import factorial, pi
 
 import numpy as np
@@ -13,8 +14,10 @@ from howedual import (
     HCParam,
     MultiPoly,
     SymScalar,
+    ab_params,
     constants,
     correspond,
+    det,
     dim_piprime,
     distribution_G,
     distribution_Gprime,
@@ -24,18 +27,20 @@ from howedual import (
     multiplicity_one_check,
     mysterious_factor,
     p_mu_product,
+    pab2,
     proportionality,
     skew_symmetrize,
     value_at_zero_closed,
     value_at_zero_oracle,
     vol_unitary,
 )
+from howedual import intertwine
 from howedual.intertwine import (
     _divided_difference,
+    _pipeline,
+    _value_prefactor,
     eigvalsh_jacobi,
     perm_sign,
-    signed_vandermonde,
-    vandermonde_derivative_at_zero,
 )
 
 
@@ -45,6 +50,55 @@ def H(text):
 
 def P(nvars, terms):
     return MultiPoly(nvars, {tuple(e): Fraction(c) for e, c in terms.items()})
+
+
+# -- references written out in full ------------------------------------------
+
+
+def plain_skew_sum(p):
+    """sum_s sgn(s) (p with variable i relabeled s(i)), one permutation at a time.
+
+    Terms are kept in the order in which the sum first reaches them.
+    """
+    terms = {}
+    for perm in permutations(range(p.nvars)):
+        sign = perm_sign(perm)
+        for e, c in p.permuted(perm).terms.items():
+            terms[e] = terms.get(e, 0) + sign * c
+    return MultiPoly(p.nvars, terms)
+
+
+def strict_terms(poly):
+    """The terms with strictly decreasing exponents, in dict order."""
+    return [(e, c) for e, c in poly.terms.items() if all(x > y for x, y in zip(e, e[1:]))]
+
+
+def signed_vandermonde(l):
+    """sum_s sgn(s) prod_j z_j^(s(j)-1); this is (-1)^(l(l-1)/2) times
+    prod_{j<k} (z_j - z_k)."""
+    return MultiPoly(l, {perm: Fraction(perm_sign(perm)) for perm in permutations(range(l))})
+
+
+def vandermonde_derivative_at_zero(p):
+    """Apply sum_s sgn(s) d_1^(s(1)-1) ... d_l^(s(l)-1) and evaluate at 0.
+
+    On a product of the form ``signed_vandermonde(l) * f`` this returns
+    (prod_{k=1}^{l} k!) * f(0) exactly.
+    """
+    out = Fraction(0)
+    for perm in permutations(range(p.nvars)):
+        c = p.terms.get(perm)
+        if c is None:
+            continue
+        fac = 1
+        for d in perm:
+            fac *= factorial(d)
+        out += perm_sign(perm) * fac * c
+    return out
+
+
+def _is_exact(poly):
+    return all(type(c) is Fraction and c != 0 for c in poly.terms.values())
 
 
 # -- polynomial engine -------------------------------------------------------
@@ -85,6 +139,74 @@ def test_skew_symmetrize_sign_under_relabeling():
         assert lhs == rhs
 
 
+def test_skew_symmetrize_matches_plain_sum():
+    # non-integer rationals, repeated exponents, and inputs that cancel fully
+    rng = random.Random(23)
+    for nv in (1, 2, 3, 4):
+        for _ in range(25):
+            f = MultiPoly(
+                nv,
+                {
+                    tuple(rng.randint(0, 3) for _ in range(nv)): Fraction(
+                        rng.randint(-6, 6), rng.randint(1, 7)
+                    )
+                    for _ in range(rng.randint(1, 8))
+                },
+            )
+            assert skew_symmetrize(f) == plain_skew_sum(f)
+            # the quotient is built from these terms in this order
+            assert strict_terms(skew_symmetrize(f)) == strict_terms(plain_skew_sum(f))
+            if nv > 1:
+                swap = [1, 0] + list(range(2, nv))
+                cancels = f + f.permuted(swap)
+                assert skew_symmetrize(cancels).is_zero() and plain_skew_sum(cancels).is_zero()
+            repeated = MultiPoly(nv, {(d,) * nv: c for d, c in enumerate(f.terms.values())})
+            assert skew_symmetrize(repeated) == plain_skew_sum(repeated)
+
+
+def test_skew_symmetrize_matches_plain_sum_on_products():
+    for pair in all_pairs():
+        l = pair.l
+        for mu in occurring_params(pair):
+            f = p_mu_product(mu, pair)
+            # the product in the order of multiplying out factor by factor
+            plain = P(l, {(0,) * l: 1})
+            for j, (a, b) in enumerate(ab_params(mu, pair)):
+                coeffs = enumerate(pab2(a, b).coeffs)
+                plain = plain * MultiPoly(l, {(0,) * j + (d,) + (0,) * (l - 1 - j): c for d, c in coeffs})
+            assert list(f.terms.items()) == list(plain.terms.items())
+            assert skew_symmetrize(f) == plain_skew_sum(f)
+            assert strict_terms(skew_symmetrize(f)) == strict_terms(plain_skew_sum(f))
+
+
+def test_exact_kernels_return_nonzero_fractions():
+    # proportionality divides coefficients, which stays exact only on Fractions
+    for pair in all_pairs():
+        for mu in occurring_params(pair):
+            skew = skew_symmetrize(p_mu_product(mu, pair))
+            assert _is_exact(skew)
+            assert _is_exact(divide_by_vandermonde(skew))
+            assert _is_exact(distribution_G(mu, pair).poly)
+
+
+def test_size_guard(monkeypatch):
+    pair = DualPair(3, 4)
+    mu = H("8,6,4")  # b = 8, 6, 4: 192 product terms
+    factors = [pab2(a, b) for a, b in ab_params(mu, pair)]
+    skew = skew_symmetrize(p_mu_product(mu, pair))  # 288 = 3! |q+| terms
+    monkeypatch.setattr(intertwine, "MAX_TERMS", 191)
+    with pytest.raises(ValueError, match="product"):
+        _pipeline(factors, 3)
+    with pytest.raises(ValueError, match="product"):
+        distribution_G(mu, pair)
+    # refuses the skew sum but not the product
+    monkeypatch.setattr(intertwine, "MAX_TERMS", len(skew.terms) - 1)
+    with pytest.raises(ValueError, match="skew sum"):
+        distribution_G(mu, pair)
+    monkeypatch.setattr(intertwine, "MAX_TERMS", len(skew.terms))
+    assert not distribution_G(mu, pair).is_zero()
+
+
 def test_divide_by_vandermonde():
     q = P(2, {(1, 0): 2, (0, 1): -2})  # 2 z1 - 2 z2
     assert divide_by_vandermonde(q) == P(2, {(0, 0): 2})
@@ -103,7 +225,10 @@ def test_divide_by_vandermonde():
 
 
 def test_divided_difference_times_linear_factor():
-    # (z_i - z_{i+1}) * d_i f == f - s_i f, checked by multiplication
+    # a term whose coefficient cancels is dropped: d_1 (z1^2 + z2^2) = 0
+    assert _divided_difference({(2, 0): 1, (0, 2): 1}, 0) == {}
+    # (z_i - z_{i+1}) * d_i f == f - s_i f, checked by multiplication, on the
+    # Fraction dict and on the integer numerators the pipeline runs on
     rng = random.Random(17)
     for nv in (2, 3, 4):
         for _ in range(15):
@@ -116,13 +241,18 @@ def test_divided_difference_times_linear_factor():
                     for _ in range(5)
                 },
             )
+            numerators = {e: int(c * 6) for e, c in f.terms.items()}
             for i in range(nv - 1):
                 swap = list(range(nv))
                 swap[i], swap[i + 1] = i + 1, i
                 z_i = tuple(int(k == i) for k in range(nv))
                 z_next = tuple(int(k == i + 1) for k in range(nv))
                 linear = P(nv, {z_i: 1, z_next: -1})
-                assert linear * _divided_difference(f, i) == f - f.permuted(swap)
+                on_fractions = _divided_difference(f.terms, i)
+                assert linear * MultiPoly(nv, on_fractions) == f - f.permuted(swap)
+                on_ints = _divided_difference(numerators, i)
+                assert all(type(c) is int and c != 0 for c in on_ints.values())
+                assert linear * MultiPoly(nv, on_ints) == (f - f.permuted(swap)) * 6
 
 
 def test_divide_times_vandermonde_round_trip():
@@ -307,6 +437,22 @@ def test_value_at_zero_matches_distribution_constant():
             assert direct == value_at_zero_closed(mu, pair)
 
 
+def test_value_at_zero_oracle_is_the_skew_route():
+    # the differential operator on the skew sum gives l! times the minor the
+    # oracle takes its value from
+    for pair in all_pairs():
+        l = pair.l
+        for mu in occurring_params(pair):
+            d_skew = vandermonde_derivative_at_zero(skew_symmetrize(p_mu_product(mu, pair)))
+            minor = det(
+                [[pab2(a, b - k).coefficient(0) for k in range(l)] for a, b in ab_params(mu, pair)]
+            )
+            assert d_skew == factorial(l) * minor
+            assert value_at_zero_oracle(mu, pair) == _value_prefactor(pair) * Fraction(
+                abs(d_skew), factorial(l)
+            )
+
+
 def test_multiplicity_one_exhaustive():
     for pair in all_pairs():
         for mu in occurring_params(pair):
@@ -314,6 +460,19 @@ def test_multiplicity_one_exhaustive():
             mup = correspond(mu, pair)
             target = abs(SymScalar(2) * vol_unitary(pair.l) * dim_piprime(mup, pair))
             assert value_at_zero_closed(mu, pair) == target
+
+
+def test_rank_four_slice():
+    # every occurring parameter at (4, 4), (4, 5) and (4, 6) with entries <= 13/2
+    count = 0
+    for pair in (DualPair(4, 4), DualPair(4, 5), DualPair(4, 6)):
+        for mu in occurring_params(pair):
+            assert multiplicity_one_check(mu, pair)
+            mup = correspond(mu, pair)
+            ratio = proportionality(mu, mup, pair)
+            assert abs(ratio) * abs(mysterious_factor(mup, pair)) == SymScalar(1)
+            count += 1
+    assert count == 65
 
 
 # -- numeric evaluation --------------------------------------------------------
