@@ -31,11 +31,9 @@ from .reps import (
     HCParam,
     HighestWeight,
     ab_params,
-    central_sign,
     correspond,
     correspond_back,
     delta_of,
-    delta_prime_of,
     dim_piprime,
     dim_weyl,
     hc_param,

@@ -1,7 +1,8 @@
 """Command-line front end: every computation as a JSON-emitting subcommand.
 
 Exit codes: 0 success, 1 domain error (e.g. a non-occurring parameter where
-occurrence is required, or a failed occurrence query), 2 usage error,
+occurrence is required, or a failed occurrence query), 2 usage error
+(including argparse errors and parameter text that is not a parameter),
 3 verification failure.  Output is a single UTF-8 JSON document per
 invocation and is byte-identical for identical argv and seed; the
 environment variable HD_SEED overrides --seed.
@@ -46,19 +47,26 @@ class UsageError(Exception):
     pass
 
 
-def _pair(args) -> DualPair:
-    pair = DualPair(args.l, args.lp)
-    pair.require_ordered()
-    return pair
+def _param(cls, flag: str, text: str):
+    """The parameter after ``flag``; text that is not one is a usage error."""
+    try:
+        return cls.parse(text)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
 
 
 def _mu_from(args, pair: DualPair) -> HCParam:
-    if getattr(args, "hw", None):
-        hw = HighestWeight.parse(args.hw)
-        return hc_param(hw, pair)
+    if args.hw:
+        return hc_param(_param(HighestWeight, "--hw", args.hw), pair)
     if not args.mu:
         raise UsageError("--mu (or --hw) is required")
-    return HCParam.parse(args.mu)
+    return _param(HCParam, "--mu", args.mu)
+
+
+def _mup_from(args, context: str) -> HCParam:
+    if not args.mu_prime:
+        raise UsageError(f"--mu-prime is required {context}")
+    return _param(HCParam, "--mu-prime", args.mu_prime)
 
 
 def _load_matrix(path: str, pair: DualPair) -> np.ndarray:
@@ -83,12 +91,9 @@ def _emit(payload: dict):
 
 
 def _cmd_occurs(args) -> tuple[int, dict]:
-    pair = _pair(args)
+    pair = DualPair(args.l, args.lp)
     if args.side == "gprime":
-        mup = HCParam.parse(args.mu_prime) if args.mu_prime else None
-        if mup is None:
-            raise UsageError("--mu-prime is required with --side gprime")
-        ok, reason = occurs_Gprime_reason(mup, pair)
+        ok, reason = occurs_Gprime_reason(_mup_from(args, "with --side gprime"), pair)
     else:
         ok, reason = occurs_G_reason(_mu_from(args, pair), pair)
     payload: dict = {"occurs": ok}
@@ -98,11 +103,9 @@ def _cmd_occurs(args) -> tuple[int, dict]:
 
 
 def _cmd_correspond(args) -> tuple[int, dict]:
-    pair = _pair(args)
+    pair = DualPair(args.l, args.lp)
     if args.back:
-        if not args.mu_prime:
-            raise UsageError("--mu-prime is required with --back")
-        mup = HCParam.parse(args.mu_prime)
+        mup = _mup_from(args, "with --back")
         mu = correspond_back(mup, pair)
         return 0, {
             "mu": mu.to_json(),
@@ -119,9 +122,9 @@ def _cmd_correspond(args) -> tuple[int, dict]:
 
 
 def _cmd_dims(args) -> tuple[int, dict]:
-    pair = _pair(args)
+    pair = DualPair(args.l, args.lp)
     if args.mu_prime:
-        mup = HCParam.parse(args.mu_prime)
+        mup = _param(HCParam, "--mu-prime", args.mu_prime)
         payload = {"dim_pi_prime": dim_weyl(mup)}
         ok, _ = occurs_Gprime_reason(mup, pair)
         if ok:
@@ -139,7 +142,7 @@ def _cmd_dims(args) -> tuple[int, dict]:
 
 
 def _cmd_constants(args) -> tuple[int, dict]:
-    pair = _pair(args)
+    pair = DualPair(args.l, args.lp)
     return 0, {name: value.to_json() for name, value in constants(pair).items()}
 
 
@@ -153,18 +156,16 @@ def _dist_payload(args, pair: DualPair, data: DistributionData) -> dict:
 
 
 def _cmd_dist(args) -> tuple[int, dict]:
-    pair = _pair(args)
+    pair = DualPair(args.l, args.lp)
     if args.side == "gprime":
-        if not args.mu_prime:
-            raise UsageError("--mu-prime is required with --side gprime")
-        data = distribution_Gprime(HCParam.parse(args.mu_prime), pair)
+        data = distribution_Gprime(_mup_from(args, "with --side gprime"), pair)
     else:
         data = distribution_G(_mu_from(args, pair), pair)
     return 0, _dist_payload(args, pair, data)
 
 
 def _cmd_eval(args) -> tuple[int, dict]:
-    pair = _pair(args)
+    pair = DualPair(args.l, args.lp)
     mu = _mu_from(args, pair)
     mat = _load_matrix(args.at, pair)
     return 0, {"value": eval_on_W(mu, pair, mat)}
@@ -193,6 +194,14 @@ def _cmd_verify(args) -> tuple[int, dict]:
 
 
 # -- parser -------------------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """Also writes each argparse error to stdout as one JSON document."""
+
+    def error(self, message):
+        _emit({"error": message})
+        super().error(message)
 
 
 def _add_pair_args(sub):
@@ -225,7 +234,7 @@ def _add_mu_args(sub, with_side=False):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="howedual",
         description="Exact Howe-duality data for the dual pair (U_l, U_l').",
     )

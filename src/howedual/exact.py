@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 __all__ = [
     "Rat",
@@ -18,6 +18,7 @@ __all__ = [
     "SymScalar",
     "factorial",
     "rising",
+    "superfactorial",
     "det",
 ]
 
@@ -33,6 +34,11 @@ def rising(a, k: int):
     for i in range(k):
         out *= a + i
     return out
+
+
+def superfactorial(n: int) -> int:
+    """0! 1! ... (n-1)!; the empty product (n = 0) is 1."""
+    return prod(map(factorial, range(n)))
 
 
 def det(rows) -> Fraction:
@@ -80,7 +86,10 @@ class HalfInt:
     @classmethod
     def parse(cls, text: str) -> "HalfInt":
         """Parse "3/2", "-5/2", "1.5" or "2" into a half-integer."""
-        f = Fraction(text.strip())
+        try:
+            f = Fraction(text.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"not a half-integer: {text!r}") from None
         if f.denominator not in (1, 2):
             raise ValueError(f"not a half-integer: {text!r}")
         return cls(f.numerator * (2 // f.denominator))

@@ -20,10 +20,13 @@ once, and the divided differences act on the integer coefficient dict.
 A product or skew sum past MAX_TERMS terms (predicted before it is
 expanded) raises ValueError instead of exhausting memory.
 
-The module also carries the full normalization-constant chain, the two
-independent value-at-zero computations (the closed factorial form and the
-l x l minor of derivative values at 0), and the multiplicity-one identity
-|T(0)| = 2 * vol(U_l) * dim Pi'.
+The second member runs the same pipeline on the first l entries of s0 mu'
+with the index pair (a, b) of ``ab_params`` exchanged.
+
+The module also carries the normalization-constant chain, built from
+vol(U_n), the two independent value-at-zero computations (the closed
+factorial form and the l x l minor of derivative values at 0), and the
+multiplicity-one identity |T(0)| = 2 * vol(U_l) * dim Pi'.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from math import exp, factorial, isfinite, lcm, pi
 
 import numpy as np
 
-from .exact import SymScalar, det
+from .exact import SymScalar, det, superfactorial
 from .pab import UniPoly, pab2
 from .reps import (
     DualPair,
@@ -356,12 +359,9 @@ def divide_by_vandermonde(q: MultiPoly) -> MultiPoly:
 
 
 def vol_unitary(n: int) -> SymScalar:
-    """vol(U_n) = (2 pi)^(n(n+1)/2) / prod_{j<n} j!."""
-    denom = 1
-    for j in range(1, n):
-        denom *= factorial(j)
+    """vol(U_n) = (2 pi)^(n(n+1)/2) / prod_{j<n} j!; 1 for n = 0."""
     m = n * (n + 1) // 2
-    return SymScalar(Fraction(1, denom), 2 * m, m)
+    return SymScalar(Fraction(1, superfactorial(n)), 2 * m, m)
 
 
 def constants(pair: DualPair) -> dict[str, SymScalar]:
@@ -370,31 +370,23 @@ def constants(pair: DualPair) -> dict[str, SymScalar]:
     The sign of C_2 and the i-power conventions are fixed choices; every
     downstream identity is checked on moduli, where they drop out.
     """
-    pair.require_ordered()
     l, lp = pair.l, pair.lp
     half = l * (l - 1) // 2
-    fac = 1
-    for j in range(1, l):
-        fac *= factorial(j)
 
     vol_g = vol_unitary(l)
     vol_gp = vol_unitary(lp)
-    vol_h = SymScalar(Fraction(1), 2 * l, l)
-    # centralizer of the Cartan slice: 2^(l/2) (2 pi)^((l'-l)(l'-l+1)/2 + l) / prod_{j<l'-l} j!
-    c = lp - l
-    fac_c = 1
-    for j in range(1, c):
-        fac_c *= factorial(j)
-    m = c * (c + 1) // 2 + l
-    vol_s_h1 = SymScalar(Fraction(1, fac_c), l + 2 * m, m)
+    vol_h = SymScalar.two_pi_power(l)
+    # centralizer of the Cartan slice: 2^(l/2) vol(H) vol(U_{l'-l})
+    vol_s_h1 = vol_h * vol_unitary(lp - l) * SymScalar(Fraction(1), l)
 
-    c_weyl = SymScalar(Fraction(1, fac), 2 * half, half)
+    c_weyl = vol_g / vol_h
     c_w = SymScalar(Fraction(1), l * (2 * lp + 1))
     c_z = SymScalar(Fraction(1), 2 * l, l, -half % 4)
-    c_1 = SymScalar(Fraction(1, fac), 2 * l * (l - lp), half, (l * lp) % 4)
-    c_2 = SymScalar(Fraction(1), 2 * l + l * (2 * lp + 1), l) / vol_g
+    c_1 = SymScalar(Fraction(1, superfactorial(l)), 2 * l * (l - lp), half, (l * lp) % 4)
+    c_2 = c_w / c_weyl
     c_h1 = SymScalar(Fraction((-1) ** (l * (lp - l))), 0, 0, (l * (lp - 1)) % 4)
-    c_bullet = SymScalar(Fraction(2), 2 * l, l) * c_1 * c_2 / c_w
+    # 2 vol(H) C_1 C_2 / C_W
+    c_bullet = SymScalar(Fraction(2), 2 * l, l) * c_1 / c_weyl
     return {
         "vol_G": vol_g,
         "vol_Gprime": vol_gp,
@@ -458,9 +450,9 @@ def _slice_prefactor(pair: DualPair) -> SymScalar:
 
 def _central_character(mu: HCParam) -> SymScalar:
     # Value of the central character at the base point of the Cayley lift
-    # under the fixed "+" convention: i^(2 sum mu_j), a 4th root of unity.
-    # For integral entry sums this is central_sign(mu); genuine parameters
-    # of odd length can have half-integral sums, where the value is +-i.
+    # under the fixed "+" convention: i^(2 sum mu_j), a 4th root of unity:
+    # (-1)^(sum mu_j) for integral entry sums, and +-i for the half-integral
+    # sums of some genuine parameters of odd length.
     return SymScalar(Fraction(1), 0, 0, sum(m.doubled for m in mu) % 4)
 
 
@@ -478,22 +470,14 @@ def distribution_G(mu: HCParam, pair: DualPair) -> DistributionData:
 def distribution_Gprime(mup: HCParam, pair: DualPair) -> DistributionData:
     """Distribution data for a second-member parameter; zero iff it does not occur.
 
-    Same pipeline with the swapped index family P_{b_{s0,j}, a_{s0,j}, 2}
-    and the factorial-ratio factor of ``mysterious_factor`` in the
-    prefactor.
+    Same pipeline on the first l entries of s0 mu' with the index pair
+    exchanged, P_{b_j, a_j, 2}, and the factorial-ratio factor of
+    ``mysterious_factor`` in the prefactor.
     """
-    pair.require_ordered()
     l = pair.l
     if not occurs_Gprime(mup, pair):
         return DistributionData(SymScalar.zero(), MultiPoly.zero(l))
-    d = delta_of(pair)
-    s = s0_apply(mup, pair)
-    swapped = []
-    for j in range(l):
-        a_s = (-s[j] - d + 1).to_int()
-        b_s = (s[j] - d + 1).to_int()
-        swapped.append(pab2(b_s, a_s))
-    inv = _pipeline(swapped, l)
+    inv = _pipeline([pab2(b, a) for a, b in ab_params(s0_apply(mup, pair)[:l], pair)], l)
     pref = (
         constants(pair)["C_bullet"]
         * _central_character(mup)
@@ -529,17 +513,9 @@ def proportionality(mu: HCParam, mup: HCParam, pair: DualPair) -> SymScalar:
 
 
 def _value_prefactor(pair: DualPair) -> SymScalar:
-    """|C_bullet| (2 pi)^(l(l-1)/2) l! / prod_{k<=l} k!."""
-    l = pair.l
-    fac = 1
-    for k in range(1, l + 1):
-        fac *= factorial(k)
-    half = l * (l - 1) // 2
-    return (
-        abs(constants(pair)["C_bullet"])
-        * SymScalar.two_pi_power(half)
-        * Fraction(factorial(l), fac)
-    )
+    """|C_bullet| c_weyl = |C_bullet| (2 pi)^(l(l-1)/2) / prod_{k<l} k!."""
+    cons = constants(pair)
+    return abs(cons["C_bullet"]) * cons["c_weyl"]
 
 
 def value_at_zero_closed(mu: HCParam, pair: DualPair) -> SymScalar:

@@ -2,10 +2,11 @@
 
 Highest weights, Harish-Chandra parameters, the occurrence tests for both
 members, the aligning Weyl element s0, the correspondence map and its
-inverse, and the two dimension formulas.  The convention throughout is
-l <= l'; computations for the second member are expressed on the embedded
-Cartan of the first through s0 and the shifted half-integers delta and
-delta'.
+inverse, and the two dimension formulas.  ``DualPair`` enforces l <= l'
+at construction, so no operation checks it again.  Computations for the
+second member are expressed on the embedded Cartan of the first through
+s0 and the shifted half-integer delta: (s0 mu')_j, j <= l, plays the role
+of a first-member entry with a and b exchanged.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .exact import HalfInt, SymScalar
+from .exact import HalfInt, SymScalar, superfactorial
 
 __all__ = [
     "DualPair",
     "HCParam",
     "HighestWeight",
     "delta_of",
-    "delta_prime_of",
     "rho",
     "rho_pp",
     "is_genuine",
@@ -36,14 +36,13 @@ __all__ = [
     "dim_weyl",
     "dim_piprime",
     "ab_params",
-    "central_sign",
     "mysterious_factor",
 ]
 
 
 @dataclass(frozen=True)
 class DualPair:
-    """The pair (U_l, U_l') with 1 <= l and 1 <= l'; G-side operations need l <= l'."""
+    """The pair (U_l, U_l') with 1 <= l <= l'."""
 
     l: int
     lp: int
@@ -51,8 +50,6 @@ class DualPair:
     def __post_init__(self):
         if self.l < 1 or self.lp < 1:
             raise ValueError("both ranks must be positive")
-
-    def require_ordered(self):
         if self.l > self.lp:
             raise ValueError(
                 f"operation needs l <= l' (got l={self.l}, l'={self.lp}); "
@@ -144,11 +141,6 @@ def delta_of(pair: DualPair) -> HalfInt:
     return HalfInt(pair.lp - pair.l + 1)
 
 
-def delta_prime_of(pair: DualPair) -> HalfInt:
-    """delta' = (l - l' + 1)/2."""
-    return HalfInt(pair.l - pair.lp + 1)
-
-
 def rho(n: int) -> HCParam:
     """Half-sum of positive roots for U_n: ((n+1)/2 - j) for j = 1..n."""
     if n < 1:
@@ -158,7 +150,6 @@ def rho(n: int) -> HCParam:
 
 def rho_pp(pair: DualPair) -> tuple[HalfInt, ...]:
     """The rho-string (delta - j) for j = 1..l'-l of the group U_{l'-l}; empty for l = l'."""
-    pair.require_ordered()
     return tuple(HalfInt(pair.lp - pair.l + 1 - 2 * j) for j in range(1, pair.lp - pair.l + 1))
 
 
@@ -200,7 +191,6 @@ def occurs_G_reason(mu: HCParam, pair: DualPair) -> tuple[bool, str | None]:
     (entry not in delta + Z) reports ``"parity"``; entries of the right
     class below delta report ``"not-occurring"``.
     """
-    pair.require_ordered()
     if len(mu) != pair.l:
         raise ValueError(f"parameter must have {pair.l} entries, got {len(mu)}")
     d = delta_of(pair)
@@ -218,7 +208,6 @@ def occurs_G(mu: HCParam, pair: DualPair) -> bool:
 def s0_apply(mup: HCParam, pair: DualPair) -> tuple[HalfInt, ...]:
     """The aligning Weyl element: entry j is mu'_{l'-l+j} for j <= l and
     mu'_{j-l} for j > l; the identity when l = l'."""
-    pair.require_ordered()
     if len(mup) != pair.lp:
         raise ValueError(f"parameter must have {pair.lp} entries, got {len(mup)}")
     l, lp = pair.l, pair.lp
@@ -230,24 +219,13 @@ def s0_apply(mup: HCParam, pair: DualPair) -> tuple[HalfInt, ...]:
 def occurs_Gprime_reason(mup: HCParam, pair: DualPair) -> tuple[bool, str | None]:
     """Occurrence test for the second member, with a failure reason.
 
-    For l' > l: -(s0 mu') restricted to the first l slots must lie in
-    delta + Z_{>=0} and the tail must equal the rho-string of U_{l'-l}.
-    For l' = l: -mu' must lie in delta' + Z_{>=0}.
+    -(s0 mu') restricted to the first l slots must lie in delta + Z_{>=0}
+    and the tail must equal the rho-string of U_{l'-l}.  At l = l', s0 is
+    the identity and the rho-string is empty.
     """
-    pair.require_ordered()
-    if len(mup) != pair.lp:
-        raise ValueError(f"parameter must have {pair.lp} entries, got {len(mup)}")
-    l, lp = pair.l, pair.lp
-    if lp == l:
-        dp = delta_prime_of(pair)
-        if any(not _on_delta_lattice(-m, dp) for m in mup):
-            return False, "parity"
-        if any(-m < dp for m in mup):
-            return False, "not-occurring"
-        return True, None
     d = delta_of(pair)
     s = s0_apply(mup, pair)
-    head, tail = s[:l], s[l:]
+    head, tail = s[:pair.l], s[pair.l:]
     if any(not _on_delta_lattice(-m, d) for m in head):
         return False, "parity"
     if any(-m < d for m in head):
@@ -307,9 +285,7 @@ def dim_piprime(mup: HCParam, pair: DualPair) -> int:
         raise ValueError("parameter does not occur")
     l, lp = pair.l, pair.lp
     d = delta_of(pair)
-    out = Fraction(1)
-    for j in range(1, l + 1):
-        out /= factorial(lp - j)
+    out = Fraction(superfactorial(lp - l), superfactorial(lp))
     for j in range(lp - l + 1, lp + 1):
         m = mup[j - 1]
         out *= factorial((d - m - 1).to_int())
@@ -323,8 +299,7 @@ def dim_piprime(mup: HCParam, pair: DualPair) -> int:
 
 
 def ab_params(mu: HCParam, pair: DualPair) -> tuple[tuple[int, int], ...]:
-    """The integer pairs a_j = -mu_j - delta + 1, b_j = mu_j - delta + 1."""
-    pair.require_ordered()
+    """The integer pairs a_j = -mu_j - delta + 1, b_j = mu_j - delta + 1 of l entries mu_j."""
     if len(mu) != pair.l:
         raise ValueError(f"parameter must have {pair.l} entries")
     d = delta_of(pair)
@@ -336,14 +311,6 @@ def ab_params(mu: HCParam, pair: DualPair) -> tuple[tuple[int, int], ...]:
             raise ValueError(f"entry {m} has the wrong parity class for delta = {d}")
         out.append((a.to_int(), b.to_int()))
     return tuple(out)
-
-
-def central_sign(mu: HCParam) -> int:
-    """(-1)^(sum mu_j) under the fixed "+" convention for the central character."""
-    total = HalfInt(sum(m.doubled for m in mu))
-    if not total.is_integer():
-        raise ValueError("sum of entries is not an integer; central sign undefined")
-    return -1 if total.to_int() % 2 else 1
 
 
 def mysterious_factor(mup: HCParam, pair: DualPair) -> SymScalar:

@@ -288,3 +288,85 @@ def test_dist_past_the_size_limit_fails_at_once():
     payload = json.loads(proc.stdout, parse_constant=_reject_constant)
     assert set(payload) == {"error"} and "5160960" in payload["error"]
     assert b"Traceback" not in proc.stderr
+
+
+REVERSED_PAIR_ERROR = (
+    "operation needs l <= l' (got l=3, l'=2); swap the pair for reversed-role computations"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["occurs", "--mu", "2,1,0"],
+        ["occurs", "--side", "gprime", "--mu-prime", "0,-2"],
+        ["constants"],
+        ["dist", "--mu", "2,1,0"],
+    ],
+)
+def test_reversed_pair_is_domain_error(capsys, argv):
+    code, payload = run_cli(capsys, argv[0], "--l", "3", "--lp", "2", *argv[1:])
+    assert code == 1 and payload == {"error": REVERSED_PAIR_ERROR}
+
+
+@pytest.mark.parametrize(
+    "flag, text, message",
+    [
+        ("--mu", "abc", "--mu: Invalid literal for Fraction: 'abc'"),
+        ("--mu", "1/3", "--mu: not a half-integer: '1/3'"),
+        ("--mu", "1/0", "--mu: not a half-integer: '1/0'"),
+        ("--mu", "1,2", "--mu: entries must be strictly decreasing: ['1', '2']"),
+        ("--mu", "2,,1", "--mu: Invalid literal for Fraction: ''"),
+        ("--hw", "1,2", "--hw: entries must be weakly decreasing: ['1', '2']"),
+    ],
+)
+def test_malformed_parameter_is_usage_error(capsys, flag, text, message):
+    code, payload = run_cli(capsys, "occurs", "--l", "2", "--lp", "3", flag, text)
+    assert code == 2 and payload == {"error": message}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["occurs", "--side", "gprime"], ["correspond", "--back"], ["dims"], ["dist", "--side", "gprime"]],
+)
+def test_malformed_second_member_parameter_is_usage_error(capsys, argv):
+    code, payload = run_cli(capsys, argv[0], "--l", "1", "--lp", "2", *argv[1:], "--mu-prime", "0,x")
+    assert code == 2 and payload == {"error": "--mu-prime: Invalid literal for Fraction: 'x'"}
+
+
+def test_parameter_of_wrong_length_is_domain_error(capsys):
+    code, payload = run_cli(capsys, "occurs", "--l", "1", "--lp", "2", "--mu", "2,1")
+    assert code == 1 and payload == {"error": "parameter must have 1 entries, got 2"}
+
+
+def test_non_genuine_weight_is_domain_error(capsys):
+    code, payload = run_cli(capsys, "occurs", "--l", "2", "--lp", "3", "--hw", "1,0")
+    assert code == 1 and "not genuine" in payload["error"]
+
+
+def test_non_occurring_parameter_is_domain_error(capsys):
+    code, payload = run_cli(capsys, "correspond", "--l", "1", "--lp", "2", "--mu", "0")
+    assert code == 1 and payload == {"error": "parameter does not occur; no partner exists"}
+    code, payload = run_cli(
+        capsys, "occurs", "--l", "2", "--lp", "2", "--side", "gprime", "--mu-prime", "1/2,-3/2"
+    )
+    assert code == 1 and payload == {"occurs": False, "reason": "not-occurring"}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["occurs", "--l", "abc", "--lp", "2"], "argument --l: invalid int value: 'abc'"),
+        (["occurs", "--l", "1", "--mu", "2"], "the following arguments are required: --lp"),
+        (["occurs", "--l", "1", "--lp", "2", "--bogus"], "unrecognized arguments: --bogus"),
+        (["nope"], "argument command: invalid choice: 'nope'"),
+    ],
+)
+def test_argparse_error_is_one_json_document(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert set(payload) == {"error"} and payload["error"].startswith(message)
+    assert err.startswith("usage: howedual")

@@ -8,6 +8,7 @@ from math import pi
 import pytest
 
 from howedual import HalfInt, SymScalar, det, factorial, rising
+from howedual.exact import superfactorial
 from howedual.intertwine import perm_sign
 
 
@@ -28,6 +29,12 @@ def test_rising_matches_factorial_quotient():
     for a in range(1, 12):
         for k in range(0, 8):
             assert rising(a, k) == factorial(a + k - 1) // factorial(a - 1)
+
+
+def test_superfactorial():
+    assert [superfactorial(n) for n in range(7)] == [1, 1, 1, 2, 12, 288, 34560]
+    for n in range(1, 10):
+        assert superfactorial(n + 1) == superfactorial(n) * factorial(n)
 
 
 def test_rising_on_fractions():
@@ -100,6 +107,8 @@ def test_halfint_parse_and_str():
     assert str(HalfInt(-4)) == "-2"
     with pytest.raises(ValueError):
         HalfInt.parse("1/3")
+    with pytest.raises(ValueError):
+        HalfInt.parse("1/0")
 
 
 def test_halfint_arithmetic():

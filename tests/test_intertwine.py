@@ -1,9 +1,11 @@
 """The polynomial engine, distribution assembly, constants, and value at zero."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, pi
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,6 +338,46 @@ def test_vol_s_h1():
     assert c["vol_S_h1"] == SymScalar(Fraction(1), 5, 2)  # 2^(1/2) (2 pi)^2
     c = constants(DualPair(2, 2))
     assert c["vol_S_h1"] == SymScalar(Fraction(1), 6, 2)  # 2 (2 pi)^2
+
+
+def test_constants_pinned():
+    # all eleven constants at 1 <= l <= 4, l <= l' <= l + 4
+    pinned = json.loads((Path(__file__).parent / "data" / "constants.json").read_text())
+    assert len(pinned) == 20
+    for key, values in pinned.items():
+        l, lp = map(int, key.split(","))
+        assert {k: v.to_json() for k, v in constants(DualPair(l, lp)).items()} == values
+
+
+def test_constant_chain_closed_forms():
+    # the factorial products written out, for l <= 8 and l' - l < 8
+    def factorial_product(n):
+        out = 1
+        for j in range(1, n):
+            out *= factorial(j)
+        return out
+
+    for l in range(1, 9):
+        half = l * (l - 1) // 2
+        for lp in range(l, l + 8):
+            pair = DualPair(l, lp)
+            cons = constants(pair)
+            c = lp - l
+            m = c * (c + 1) // 2 + l
+            g = l * (l + 1) // 2
+            assert cons["vol_G"] == SymScalar(Fraction(1, factorial_product(l)), 2 * g, g)
+            assert cons["vol_S_h1"] == SymScalar(Fraction(1, factorial_product(c)), l + 2 * m, m)
+            assert cons["c_weyl"] == SymScalar(Fraction(1, factorial_product(l)), 2 * half, half)
+            c_2 = SymScalar(Fraction(1), 2 * l + l * (2 * lp + 1), l) / cons["vol_G"]
+            assert cons["C_2"] == c_2
+            assert cons["C_bullet"] == (
+                SymScalar(Fraction(2), 2 * l, l) * cons["C_1"] * c_2 / cons["C_W"]
+            )
+            assert _value_prefactor(pair) == (
+                abs(cons["C_bullet"])
+                * SymScalar.two_pi_power(half)
+                * Fraction(factorial(l), factorial_product(l + 1))
+            )
 
 
 # -- distributions ------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -14,11 +15,9 @@ from howedual import (
     HighestWeight,
     SymScalar,
     ab_params,
-    central_sign,
     correspond,
     correspond_back,
     delta_of,
-    delta_prime_of,
     dim_piprime,
     dim_weyl,
     hc_param,
@@ -30,6 +29,7 @@ from howedual import (
     rho_pp,
     s0_apply,
 )
+from howedual.reps import occurs_G_reason, occurs_Gprime_reason
 
 
 def H(text):
@@ -39,8 +39,8 @@ def H(text):
 def test_dual_pair_validation():
     with pytest.raises(ValueError):
         DualPair(0, 2)
-    with pytest.raises(ValueError):
-        occurs_G(H("2"), DualPair(2, 1))
+    with pytest.raises(ValueError, match="operation needs l <= l'"):
+        DualPair(2, 1)  # at construction, before any operation
 
 
 def test_hcparam_requires_strict_dominance():
@@ -54,9 +54,7 @@ def test_hcparam_requires_strict_dominance():
 def test_delta_values():
     assert delta_of(DualPair(1, 2)) == HalfInt.from_int(1)
     assert delta_of(DualPair(2, 2)) == HalfInt.parse("1/2")
-    assert delta_prime_of(DualPair(2, 2)) == HalfInt.parse("1/2")
     assert delta_of(DualPair(1, 5)) == HalfInt.parse("5/2")
-    assert delta_prime_of(DualPair(1, 5)) == HalfInt.parse("-3/2")
 
 
 def test_rho():
@@ -112,6 +110,18 @@ def test_occurs_Gprime():
     assert not occurs_Gprime(H("1/2"), DualPair(1, 1))
 
 
+def test_occurs_Gprime_at_equal_ranks_is_occurs_G_of_the_partner():
+    # at l = l' the second-member test on mu' is the first-member test on
+    # -(mu' reversed), reason included; every mu' with |mu'_j| <= 13/2
+    entries = [HalfInt(d) for d in range(13, -14, -1)]
+    for l in range(1, 5):
+        pair = DualPair(l, l)
+        for combo in combinations(entries, l):
+            mup = HCParam(combo)
+            mu = HCParam(-m for m in reversed(combo))
+            assert occurs_Gprime_reason(mup, pair) == occurs_G_reason(mu, pair)
+
+
 def test_correspond_frozen():
     assert correspond(H("2"), DualPair(1, 2)) == H("0,-2")
     assert correspond(H("3/2,1/2"), DualPair(2, 2)) == H("-1/2,-3/2")
@@ -159,14 +169,6 @@ def test_ab_params_integrality_randomized():
             assert a + b == 2 - 2 * d.as_fraction()
 
 
-def test_central_sign():
-    assert central_sign(H("2")) == 1
-    assert central_sign(H("3/2,1/2")) == 1
-    assert central_sign(H("1")) == -1
-    with pytest.raises(ValueError):
-        central_sign(H("3/2"))  # half-integral sum has no +-1 sign
-
-
 def test_occurrence_iff_positive_b():
     # mu occurs exactly when every b_j >= 1
     for pair in all_pairs():
@@ -211,15 +213,13 @@ def test_mysterious_factor_identity_exhaustive():
 
 def test_central_characters_of_partners():
     # sum mu'_j = -sum mu_j, so the two central characters are inverse
-    # fourth roots of unity; for integral sums the +-1 signs agree.
+    # fourth roots of unity.
     for pair in all_pairs():
         for mu in occurring_params(pair):
             mup = correspond(mu, pair)
             s = sum(m.doubled for m in mu)
             sp = sum(m.doubled for m in mup)
             assert sp == -s
-            if s % 2 == 0:
-                assert central_sign(mu) == central_sign(mup)
 
 
 def test_json_round_trip():

@@ -23,7 +23,6 @@ from howedual import (
     vandermonde_identity,
 )
 from howedual.verify import (
-    CAYLEY_JACOBIAN_EXPONENT,
     block_layout,
     blocked_mean,
     blocked_sums,
@@ -249,12 +248,6 @@ def test_cayley_base_point():
     c0 = (x + np.eye(2)) @ np.linalg.inv(x - np.eye(2))
     assert np.allclose(c0, -np.eye(2))
     assert abs(np.linalg.det(np.eye(2) - x)) == 1.0
-
-
-def test_r_table_is_data():
-    assert CAYLEY_JACOBIAN_EXPONENT["U_n"] == 0
-    assert CAYLEY_JACOBIAN_EXPONENT["O_n"] == -1
-    assert CAYLEY_JACOBIAN_EXPONENT["Sp_n"] == Fraction(1, 2)
 
 
 def test_distribution_invariance():
