@@ -226,9 +226,10 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def _add_mu_args(sub, with_side=False):
-    sub.add_argument("--mu", help="Harish-Chandra parameter, e.g. 2 or 3/2,1/2")
-    sub.add_argument("--hw", help="highest weight instead of --mu (converted via rho)")
-    sub.add_argument("--mu-prime", dest="mu_prime", help="second-member parameter, e.g. 0,-2")
+    one = sub.add_mutually_exclusive_group()
+    one.add_argument("--mu", help="Harish-Chandra parameter, e.g. 2 or 3/2,1/2")
+    one.add_argument("--hw", help="highest weight instead of --mu (converted via rho)")
+    one.add_argument("--mu-prime", dest="mu_prime", help="second-member parameter, e.g. 0,-2")
     if with_side:
         sub.add_argument("--side", choices=("g", "gprime"), default="g")
 

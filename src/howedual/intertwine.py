@@ -17,8 +17,10 @@ The product, the skew sum and the division clear denominators once and
 run on integer numerators: the skew sum collects each term on the strictly
 decreasing representative of its orbit and expands every representative
 once, and the divided differences act on the integer coefficient dict.
-A product or skew sum past MAX_TERMS terms (predicted before it is
-expanded) raises ValueError instead of exhausting memory.
+A product or skew sum past MAX_TERMS terms, or a coefficient too long for
+``str`` to print, raises ValueError before it is expanded.  Q is exact
+data; only its value at a point is floating point, an exactly rounded sum
+of the float terms that does not depend on their order.
 
 The second member runs the same pipeline on the first l entries of s0 mu'
 with the index pair (a, b) of ``ab_params`` exchanged.
@@ -31,10 +33,11 @@ multiplicity-one identity |T(0)| = 2 * vol(U_l) * dim Pi'.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import exp, factorial, isfinite, lcm, pi
+from math import exp, factorial, fsum, isfinite, lcm, lgamma, log, log10, pi, prod
 
 import numpy as np
 
@@ -47,9 +50,11 @@ from .reps import (
     correspond,
     delta_of,
     dim_piprime,
+    factorial_ratio,
     mysterious_factor,
     occurs_G,
     occurs_Gprime,
+    root_product,
     s0_apply,
 )
 
@@ -197,13 +202,16 @@ class MultiPoly:
         return True
 
     def eval_float(self, point) -> float:
-        out = 0.0
+        """Value at a point: ``math.fsum`` of the float terms, exactly rounded and
+        so independent of term order; OverflowError or ValueError on overflow."""
+        z = [float(v) for v in point]
+        terms = []
         for e, c in self.terms.items():
             term = float(c)
-            for v, d in zip(point, e):
-                term *= float(v) ** d
-            out += term
-        return out
+            for v, d in zip(z, e):
+                term *= v**d
+            terms.append(term)
+        return fsum(terms)
 
     # -- presentation -------------------------------------------------------
 
@@ -278,29 +286,19 @@ def skew_symmetrize(p: MultiPoly) -> MultiPoly:
     Each term is moved onto the strictly decreasing representative of its
     orbit with the sign of the sorting permutation (terms with a repeated
     exponent cancel), and each surviving representative's orbit is expanded
-    once.  The representatives keep the order in which the plain sum first
-    reaches them, so the quotient's terms come out in the same order.
+    once.
     """
     l = p.nvars
     den, num = _numerators(p.terms)
     plus: dict[tuple[int, ...], int] = {}
-    first: dict[tuple[int, ...], tuple] = {}
-    for index, (e, n) in enumerate(num.items()):
+    for e, n in num.items():
         order = sorted(range(l), key=e.__getitem__, reverse=True)
         f = tuple([e[i] for i in order])
-        if len(set(f)) < l:
-            continue
-        rank = [0] * l
-        for k, i in enumerate(order):
-            rank[i] = k
-        # the plain sum reaches f from e under the permutation rank
-        key = (rank, index)
-        plus[f] = plus.get(f, 0) + perm_sign(order) * n
-        if f not in first or key < first[f]:
-            first[f] = key
-    reps = sorted((f for f, n in plus.items() if n), key=first.__getitem__)
+        if len(set(f)) == l:
+            plus[f] = plus.get(f, 0) + perm_sign(order) * n
+    reps = {f: Fraction(n, den) for f, n in plus.items() if n}
     _check_size(factorial(l) * len(reps), "the skew sum")
-    return MultiPoly._wrap(l, dict(_orbit_terms({f: Fraction(plus[f], den) for f in reps}, l)))
+    return MultiPoly._wrap(l, dict(_orbit_terms(reps, l)))
 
 
 def _orbit_terms(plus: dict, l: int):
@@ -433,12 +431,20 @@ class DistributionData:
         }
 
 
-def _pipeline(factors: list[UniPoly], l: int) -> MultiPoly:
-    size = 1
-    for p in factors:
-        size *= p.degree + 1
-    _check_size(size, "the product")
-    return divide_by_vandermonde(skew_symmetrize(_product(factors, l)))
+def _pipeline(ab, l: int) -> MultiPoly:
+    """Q for the factors P_{a_j,b_j,2}, all b_j >= 1.  Refuses, before building
+    them, prod_j b_j product terms past MAX_TERMS and a top coefficient
+    prod_j 2^(-a_j) / (b_j - 1)! (the longest) too long for ``str``."""
+    _check_size(prod(b for _, b in ab), "the product")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    two = -sum(a for a, _ in ab)  # the top coefficient is 2^two / prod_j (b_j - 1)!
+    v = sum(b - 1 - bin(b - 1).count("1") for _, b in ab)  # 2-adic valuation of prod_j (b_j - 1)!
+    num = max(two - v, 0) * log10(2)
+    den = sum(lgamma(b) for _, b in ab) / log(10) - min(two, v) * log10(2)
+    digits = int(max(num, den)) + 1
+    if limit and digits > limit:
+        raise ValueError(f"a coefficient would have {digits} digits, past the print limit of {limit}")
+    return divide_by_vandermonde(skew_symmetrize(_product([pab2(a, b) for a, b in ab], l)))
 
 
 def _slice_prefactor(pair: DualPair) -> SymScalar:
@@ -462,7 +468,7 @@ def distribution_G(mu: HCParam, pair: DualPair) -> DistributionData:
     l = pair.l
     if any(b <= 0 for _, b in ab):
         return DistributionData(SymScalar.zero(), MultiPoly.zero(l))
-    inv = _pipeline([pab2(a, b) for a, b in ab], l)
+    inv = _pipeline(ab, l)
     pref = constants(pair)["C_bullet"] * _central_character(mu) * _slice_prefactor(pair)
     return DistributionData(pref, inv)
 
@@ -477,7 +483,7 @@ def distribution_Gprime(mup: HCParam, pair: DualPair) -> DistributionData:
     l = pair.l
     if not occurs_Gprime(mup, pair):
         return DistributionData(SymScalar.zero(), MultiPoly.zero(l))
-    inv = _pipeline([pab2(b, a) for a, b in ab_params(s0_apply(mup, pair)[:l], pair)], l)
+    inv = _pipeline([(b, a) for a, b in ab_params(s0_apply(mup, pair)[:l], pair)], l)
     pref = (
         constants(pair)["C_bullet"]
         * _central_character(mup)
@@ -529,17 +535,8 @@ def value_at_zero_closed(mu: HCParam, pair: DualPair) -> SymScalar:
     if not occurs_G(mu, pair):
         raise ValueError("parameter does not occur")
     l, lp = pair.l, pair.lp
-    d = delta_of(pair)
-    bracket = Fraction(1)
-    for j in range(1, l + 1):
-        m = mu[j - 1]
-        bracket *= Fraction(
-            factorial((m + d - 1).to_int()),
-            factorial(lp - j) * factorial((m - d).to_int()),
-        )
-    for j in range(l):
-        for k in range(j + 1, l):
-            bracket *= (mu[j] - mu[k]).as_fraction()
+    bracket = factorial_ratio(mu, delta_of(pair)) * root_product(mu) * superfactorial(lp - l)
+    bracket /= superfactorial(lp)
     two_pow = l * lp - l * (l + 1) // 2
     return abs(_value_prefactor(pair) * SymScalar(bracket, 2 * two_pow))
 
@@ -639,11 +636,11 @@ def eval_distribution(data: DistributionData, pair: DualPair, w) -> float:
         raise ValueError("w w^dagger is not finite")
     if data.is_zero():
         return 0.0
-    y = np.clip(np.linalg.eigvalsh(m)[::-1], 0.0, None)
-    z = 2.0 * pi * y
+    with np.errstate(over="ignore"):
+        z = 2.0 * pi * np.clip(np.linalg.eigvalsh(m)[::-1], 0.0, None)
     try:
         value = abs(data.prefactor).to_float() * exp(-float(z.sum())) * data.poly.eval_float(z)
-    except OverflowError:
+    except (OverflowError, ValueError):  # the terms or their sum overflow
         value = float("inf")
     if not isfinite(value):
         raise ValueError("the value at w is not finite (w is too large)")

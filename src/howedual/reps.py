@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import combinations
+from math import factorial, prod
 
 from .exact import HalfInt, SymScalar, superfactorial
 
@@ -35,6 +36,8 @@ __all__ = [
     "correspond_back",
     "dim_weyl",
     "dim_piprime",
+    "root_product",
+    "factorial_ratio",
     "ab_params",
     "mysterious_factor",
 ]
@@ -262,13 +265,20 @@ def correspond_back(mup: HCParam, pair: DualPair) -> HCParam:
     return HCParam(-mup[lp - j] for j in range(1, l + 1))
 
 
+def root_product(xs) -> Fraction:
+    """prod_{j<k} (x_j - x_k) over a sequence of half-integers."""
+    return prod(((x - y).as_fraction() for x, y in combinations(xs, 2)), start=Fraction(1))
+
+
+def factorial_ratio(xs, d: HalfInt) -> Fraction:
+    """prod_j (x_j + d - 1)! / (x_j - d)! over half-integers x_j in d + Z_{>=0}."""
+    ratios = (Fraction(factorial((x + d - 1).to_int()), factorial((x - d).to_int())) for x in xs)
+    return prod(ratios, start=Fraction(1))
+
+
 def dim_weyl(mu: HCParam) -> int:
     """Weyl dimension formula: prod_{j<k} (mu_j - mu_k) / (k - j)."""
-    n = len(mu)
-    out = Fraction(1)
-    for j in range(n):
-        for k in range(j + 1, n):
-            out *= Fraction((mu[j] - mu[k]).doubled, 2 * (k - j))
+    out = root_product(mu) / superfactorial(len(mu))
     if out.denominator != 1 or out <= 0:
         raise ValueError("parameter is not strictly dominant")
     return int(out)
@@ -277,22 +287,15 @@ def dim_weyl(mu: HCParam) -> int:
 def dim_piprime(mup: HCParam, pair: DualPair) -> int:
     """Dimension of the second-member representation from its occurrence data.
 
-    Three factors: 1 / prod_{j<=l} (l'-j)!, the factorial ratios
-    (delta - mu'_j - 1)! / (-mu'_j - delta)! over the last l slots, and the
-    root-difference product over those slots.  Agrees with ``dim_weyl``.
+    Three factors over the last l slots x = mu'_j: 1 / prod_{j<=l} (l'-j)!,
+    the factorial ratios (delta - x - 1)! / (-x - delta)! and the root
+    product.  Agrees with ``dim_weyl``.
     """
     if not occurs_Gprime(mup, pair):
         raise ValueError("parameter does not occur")
-    l, lp = pair.l, pair.lp
-    d = delta_of(pair)
-    out = Fraction(superfactorial(lp - l), superfactorial(lp))
-    for j in range(lp - l + 1, lp + 1):
-        m = mup[j - 1]
-        out *= factorial((d - m - 1).to_int())
-        out /= factorial((-m - d).to_int())
-    for j in range(lp - l + 1, lp + 1):
-        for k in range(j + 1, lp + 1):
-            out *= (mup[j - 1] - mup[k - 1]).as_fraction()
+    tail = mup[pair.lp - pair.l :]
+    out = factorial_ratio([-x for x in tail], delta_of(pair)) * root_product(tail)
+    out *= Fraction(superfactorial(pair.lp - pair.l), superfactorial(pair.lp))
     if out.denominator != 1:
         raise ValueError("dimension formula did not produce an integer")
     return int(out)
@@ -321,10 +324,4 @@ def mysterious_factor(mup: HCParam, pair: DualPair) -> SymScalar:
     """
     if not occurs_Gprime(mup, pair):
         raise ValueError("parameter does not occur")
-    d = delta_of(pair)
-    s = s0_apply(mup, pair)
-    out = Fraction(1)
-    for j in range(pair.l):
-        out *= factorial((-s[j] + d - 1).to_int())
-        out /= factorial((-s[j] - d).to_int())
-    return SymScalar(out)
+    return SymScalar(factorial_ratio([-x for x in s0_apply(mup, pair)[: pair.l]], delta_of(pair)))

@@ -275,19 +275,49 @@ def test_unknown_suite_next_to_all_is_usage_error(capsys):
     assert code == 2 and "'nope'" in payload["error"]
 
 
-def test_dist_past_the_size_limit_fails_at_once():
-    # l = 7 at mu_j = delta + 2(l-1-j) + 3 has 5,160,960 product terms
+def run_module(*argv):
+    """``python -m howedual`` in a subprocess, with this checkout's sources."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    argv = ["dist", "--l", "7", "--lp", "8", "--mu", "16,14,12,10,8,6,4"]
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "howedual", *argv], env=env, capture_output=True, timeout=30
     )
+
+
+def test_dist_past_the_size_limit_fails_at_once():
+    # l = 7 at mu_j = delta + 2(l-1-j) + 3 has 5,160,960 product terms
+    proc = run_module("dist", "--l", "7", "--lp", "8", "--mu", "16,14,12,10,8,6,4")
     assert proc.returncode == 1
     payload = json.loads(proc.stdout, parse_constant=_reject_constant)
     assert set(payload) == {"error"} and "5160960" in payload["error"]
     assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("mu, digits", [("2000", 5134), ("100000", 426469)])
+def test_dist_with_unprintable_coefficients_fails_at_once(mu, digits):
+    # P_{-mu,mu,2} has the coefficient 2^mu / (mu - 1)!; at mu = 100000 the
+    # product has few enough terms, so only the coefficient size refuses it
+    proc = run_module("dist", "--l", "1", "--lp", "2", "--mu", mu)
+    assert proc.returncode == 1
+    payload = json.loads(proc.stdout, parse_constant=_reject_constant)
+    limit = sys.get_int_max_str_digits()
+    assert payload == {
+        "error": f"a coefficient would have {digits} digits, "
+        f"past the print limit of {limit}"
+    }
+    assert proc.stderr == b""
+
+
+def test_overflowing_eigenvalue_writes_nothing_to_stderr(tmp_path):
+    # w w^dagger is finite at 1e154, 2 pi times its eigenvalue is not
+    mat = tmp_path / "w.json"
+    mat.write_text(json.dumps([[[1e154, 0.0], [0.0, 0.3]]]))
+    proc = run_module("eval", "--l", "1", "--lp", "2", "--mu", "2", "--at", str(mat))
+    assert proc.returncode == 1
+    payload = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert payload == {"error": "the value at w is not finite (w is too large)"}
+    assert proc.stderr == b""
 
 
 REVERSED_PAIR_ERROR = (
@@ -351,6 +381,22 @@ def test_non_occurring_parameter_is_domain_error(capsys):
         capsys, "occurs", "--l", "2", "--lp", "2", "--side", "gprime", "--mu-prime", "1/2,-3/2"
     )
     assert code == 1 and payload == {"occurs": False, "reason": "not-occurring"}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--mu", "1/2", "--hw", "2"], "argument --hw: not allowed with argument --mu"),
+        (["--mu", "2", "--mu-prime", "5"], "argument --mu-prime: not allowed with argument --mu"),
+    ],
+)
+def test_two_parameter_flags_are_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["occurs", "--l", "1", "--lp", "2", *argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out, parse_constant=_reject_constant) == {"error": message}
+    assert err.startswith("usage: howedual occurs")
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@
 
 import json
 import random
+import sys
+import warnings
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, pi
@@ -12,6 +14,7 @@ import pytest
 
 from conftest import all_pairs, occurring_params
 from howedual import (
+    DistributionData,
     DualPair,
     HCParam,
     MultiPoly,
@@ -19,6 +22,7 @@ from howedual import (
     ab_params,
     constants,
     correspond,
+    delta_of,
     det,
     dim_piprime,
     distribution_G,
@@ -58,21 +62,13 @@ def P(nvars, terms):
 
 
 def plain_skew_sum(p):
-    """sum_s sgn(s) (p with variable i relabeled s(i)), one permutation at a time.
-
-    Terms are kept in the order in which the sum first reaches them.
-    """
+    """sum_s sgn(s) (p with variable i relabeled s(i)), one permutation at a time."""
     terms = {}
     for perm in permutations(range(p.nvars)):
         sign = perm_sign(perm)
         for e, c in p.permuted(perm).terms.items():
             terms[e] = terms.get(e, 0) + sign * c
     return MultiPoly(p.nvars, terms)
-
-
-def strict_terms(poly):
-    """The terms with strictly decreasing exponents, in dict order."""
-    return [(e, c) for e, c in poly.terms.items() if all(x > y for x, y in zip(e, e[1:]))]
 
 
 def signed_vandermonde(l):
@@ -156,8 +152,6 @@ def test_skew_symmetrize_matches_plain_sum():
                 },
             )
             assert skew_symmetrize(f) == plain_skew_sum(f)
-            # the quotient is built from these terms in this order
-            assert strict_terms(skew_symmetrize(f)) == strict_terms(plain_skew_sum(f))
             if nv > 1:
                 swap = [1, 0] + list(range(2, nv))
                 cancels = f + f.permuted(swap)
@@ -178,7 +172,6 @@ def test_skew_symmetrize_matches_plain_sum_on_products():
                 plain = plain * MultiPoly(l, {(0,) * j + (d,) + (0,) * (l - 1 - j): c for d, c in coeffs})
             assert list(f.terms.items()) == list(plain.terms.items())
             assert skew_symmetrize(f) == plain_skew_sum(f)
-            assert strict_terms(skew_symmetrize(f)) == strict_terms(plain_skew_sum(f))
 
 
 def test_exact_kernels_return_nonzero_fractions():
@@ -194,11 +187,10 @@ def test_exact_kernels_return_nonzero_fractions():
 def test_size_guard(monkeypatch):
     pair = DualPair(3, 4)
     mu = H("8,6,4")  # b = 8, 6, 4: 192 product terms
-    factors = [pab2(a, b) for a, b in ab_params(mu, pair)]
     skew = skew_symmetrize(p_mu_product(mu, pair))  # 288 = 3! |q+| terms
     monkeypatch.setattr(intertwine, "MAX_TERMS", 191)
     with pytest.raises(ValueError, match="product"):
-        _pipeline(factors, 3)
+        _pipeline(ab_params(mu, pair), 3)
     with pytest.raises(ValueError, match="product"):
         distribution_G(mu, pair)
     # refuses the skew sum but not the product
@@ -207,6 +199,27 @@ def test_size_guard(monkeypatch):
         distribution_G(mu, pair)
     monkeypatch.setattr(intertwine, "MAX_TERMS", len(skew.terms))
     assert not distribution_G(mu, pair).is_zero()
+
+
+def test_size_guard_refuses_exactly_what_str_cannot_print():
+    # at the interpreter's smallest digit limit the top coefficient
+    # 2^(-a) / (b - 1)! outgrows str between these two parameters
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        cases = [(DualPair(1, 2), H("352"), H("353")), (DualPair(1, 1), H("703/2"), H("705/2"))]
+        for pair, fits, too_long in cases:
+            json.dumps(distribution_G(fits, pair).to_json())
+            json.dumps(distribution_Gprime(correspond(fits, pair), pair).to_json())
+            with pytest.raises(ValueError, match="past the print limit of 640"):
+                distribution_G(too_long, pair)
+            with pytest.raises(ValueError, match="past the print limit of 640"):
+                distribution_Gprime(correspond(too_long, pair), pair)
+            unguarded = divide_by_vandermonde(skew_symmetrize(p_mu_product(too_long, pair)))
+            with pytest.raises(ValueError, match="integer string conversion"):
+                unguarded.to_json()
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_divide_by_vandermonde():
@@ -552,6 +565,63 @@ def test_eval_distribution_rejects_non_finite():
         eval_distribution(data, pair, np.array([[np.nan, 0.0]]))
     with pytest.raises(ValueError):
         eval_distribution(data, pair, np.array([[1e200, 0.0]]))  # w w^dagger overflows
+    too_large = "the value at w is not finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # w w^dagger is finite, 2 pi y is not
+        with pytest.raises(ValueError, match=too_large):
+            eval_distribution(data, pair, np.array([[1e154, 0.0]]))
+        cases = [
+            ({(1, 0, 0): 10**300, (0, 1, 0): -(10**300)}, 1e5),  # terms of +inf and -inf
+            ({(1, 0, 0): 10**308, (0, 1, 0): 10**308}, 0.5),  # finite terms, the sum overflows
+        ]
+        for terms, scale in cases:
+            data3 = DistributionData(SymScalar(1), MultiPoly(3, terms))
+            with pytest.raises(ValueError, match=too_large):
+                eval_distribution(data3, DualPair(3, 3), np.diag([scale, scale, 1.0]))
+
+
+def _reference_points(l, lp, count, seed):
+    """Q at mu_j = delta + 2(l-1-j) + 3 and z = 2 pi eig(w w^dagger) at seeded Gaussian w."""
+    pair = DualPair(l, lp)
+    mu = HCParam([delta_of(pair) + 2 * (l - 1 - j) + 3 for j in range(l)])
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(count):
+        w = (rng.standard_normal((l, lp)) + 1j * rng.standard_normal((l, lp))) / np.sqrt(2.0)
+        points.append(2 * pi * np.clip(np.linalg.eigvalsh(w @ w.conj().T)[::-1], 0.0, None))
+    return distribution_G(mu, pair).poly, points
+
+
+def test_eval_float_does_not_depend_on_term_order():
+    rng = random.Random(8)
+    for l in (2, 3):
+        poly, points = _reference_points(l, l + 1, 20, seed=l)
+        items = list(poly.terms.items())
+        shuffled = items[:]
+        rng.shuffle(shuffled)
+        for order in (items[::-1], shuffled):
+            other = MultiPoly(l, dict(order))
+            assert other == poly
+            for z in points:
+                assert other.eval_float(z) == poly.eval_float(z)
+
+
+def test_eval_float_against_exact_evaluation():
+    # each term carries at most 2l + 1 roundings and fsum one more, so the
+    # error is within 2(l + 1) units of 2^-53 sum |c_e z^e|
+    for l in (2, 3, 4):
+        poly, points = _reference_points(l, l + 1, 12 if l < 4 else 8, seed=10 + l)
+        for z in points:
+            exact_z = [Fraction(float(v)) for v in z]
+            terms = []
+            for e, c in poly.terms.items():
+                term = c
+                for v, d in zip(exact_z, e):
+                    term *= v**d
+                terms.append(term)
+            error = abs(Fraction(poly.eval_float(z)) - sum(terms))
+            assert error <= 2 * (l + 1) * Fraction(1, 2**53) * sum(map(abs, terms))
 
 
 def test_eval_on_W_at_zero():
