@@ -7,10 +7,9 @@ numeric harness that independently verifies the matrix integrals the
 constants rest on.
 """
 
-from .exact import HalfInt, Rat, SymScalar, det, factorial, rising
+from .exact import HalfInt, MultiPoly, Rat, SymScalar, det, factorial, rising
 from .intertwine import (
     DistributionData,
-    MultiPoly,
     constants,
     distribution_G,
     distribution_Gprime,
@@ -25,7 +24,7 @@ from .intertwine import (
     value_at_zero_oracle,
     vol_unitary,
 )
-from .pab import UniPoly, laguerre, pab2, pab_minus2, pab_piecewise_eval, pab_value_at_zero
+from .pab import laguerre, pab2, pab_minus2, pab_piecewise_eval, pab_value_at_zero
 from .reps import (
     DualPair,
     HCParam,

@@ -1,21 +1,24 @@
-"""Exact scalar arithmetic: half-integers and monomials in sqrt(2), pi, i.
+"""Exact arithmetic: half-integers, monomials in sqrt(2), pi, i, and polynomials.
 
 Every normalization constant handled by this library is a rational multiple
 of 2^(h/2) * pi^q * i^r with integer h, q, r, so it can be stored and
 multiplied without any rounding.  Rationals themselves are plain
-``fractions.Fraction`` values (re-exported as ``Rat``).
+``fractions.Fraction`` values (re-exported as ``Rat``).  ``MultiPoly`` is
+the one exact polynomial type: sparse, with Fraction coefficients, in any
+number of variables (the family P_{a,b,2} is a one-variable MultiPoly).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, fsum, prod
 
 __all__ = [
     "Rat",
     "HalfInt",
     "SymScalar",
+    "MultiPoly",
     "factorial",
     "rising",
     "superfactorial",
@@ -157,14 +160,8 @@ class HalfInt:
 def _odd_part(fr: Fraction) -> tuple[Fraction, int]:
     """Split a nonzero rational as (odd part) * 2^v with odd num and den."""
     n, d = fr.numerator, fr.denominator
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    while d % 2 == 0:
-        d //= 2
-        v -= 1
-    return Fraction(n, d), v
+    vn, vd = (n & -n).bit_length() - 1, (d & -d).bit_length() - 1  # lowest set bits
+    return Fraction(n >> vn, d >> vd), vn - vd
 
 
 @dataclass(frozen=True)
@@ -324,3 +321,150 @@ class SymScalar:
             parts.append("i")
         return " * ".join(parts)
 
+
+class MultiPoly:
+    """Sparse multivariate polynomial with exact rational coefficients.
+
+    Terms map exponent tuples (one slot per variable) to nonzero Fractions.
+    """
+
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms=None):
+        self.nvars = nvars
+        clean: dict[tuple[int, ...], Fraction] = {}
+        for e, c in (terms or {}).items():
+            c = Fraction(c)
+            if c != 0:
+                clean[tuple(e)] = c
+        self.terms = clean
+
+    # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def zero(cls, nvars: int) -> "MultiPoly":
+        return cls(nvars)
+
+    @classmethod
+    def _wrap(cls, nvars: int, terms: dict) -> "MultiPoly":
+        """Adopt a dict of nonzero Fractions without the copying pass of __init__."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        return out
+
+    # -- structure ----------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, MultiPoly):
+            return self.nvars == other.nvars and self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.nvars, frozenset(self.terms.items())))
+
+    def coefficient(self, e) -> Fraction:
+        return self.terms.get(tuple(e), Fraction(0))
+
+    # -- algebra ------------------------------------------------------------
+
+    def _check(self, other: "MultiPoly"):
+        if self.nvars != other.nvars:
+            raise ValueError("variable count mismatch")
+
+    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        self._check(other)
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            terms[e] = terms.get(e, Fraction(0)) + c
+        return MultiPoly(self.nvars, terms)
+
+    def __neg__(self) -> "MultiPoly":
+        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, MultiPoly):
+            self._check(other)
+            terms: dict[tuple[int, ...], Fraction] = {}
+            for e1, c1 in self.terms.items():
+                for e2, c2 in other.terms.items():
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+            return MultiPoly(self.nvars, terms)
+        if isinstance(other, (int, Fraction)):
+            return MultiPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def permuted(self, perm) -> "MultiPoly":
+        """Relabel variables: variable i becomes variable perm[i]."""
+        terms = {}
+        for e, c in self.terms.items():
+            f = [0] * self.nvars
+            for i, d in enumerate(e):
+                f[perm[i]] = d
+            terms[tuple(f)] = c
+        return MultiPoly(self.nvars, terms)
+
+    def is_symmetric(self) -> bool:
+        """Invariance under every transposition of adjacent variables."""
+        for i in range(self.nvars - 1):
+            perm = list(range(self.nvars))
+            perm[i], perm[i + 1] = perm[i + 1], perm[i]
+            if self.permuted(perm) != self:
+                return False
+        return True
+
+    def eval_float(self, point) -> float:
+        """Value at a point: ``math.fsum`` of the float terms, exactly rounded and
+        so independent of term order; OverflowError or ValueError on overflow."""
+        z = [float(v) for v in point]
+        terms = []
+        for e, c in self.terms.items():
+            term = float(c)
+            for v, d in zip(z, e):
+                term *= v**d
+            terms.append(term)
+        return fsum(terms)
+
+    # -- presentation -------------------------------------------------------
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda item: item[0], reverse=True)
+
+    def to_json(self) -> list[dict]:
+        return [{"exp": list(e), "coeff": str(c)} for e, c in self.sorted_terms()]
+
+    def to_latex(self) -> str:
+        if self.is_zero():
+            return "0"
+        pieces = []
+        for e, c in self.sorted_terms():
+            mono = " ".join(
+                f"z_{{{i + 1}}}" if d == 1 else f"z_{{{i + 1}}}^{{{d}}}"
+                for i, d in enumerate(e)
+                if d
+            )
+            if not mono:
+                body = str(abs(c))
+            elif abs(c) == 1:
+                body = mono
+            else:
+                body = f"{abs(c)} {mono}"
+            if not pieces:
+                pieces.append(body if c > 0 else f"-{body}")
+            else:
+                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(pieces)
+
+    def __repr__(self) -> str:
+        if self.is_zero():
+            return "MultiPoly(0)"
+        return "MultiPoly(" + " + ".join(f"{c}*z^{e}" for e, c in self.sorted_terms()) + ")"

@@ -13,8 +13,10 @@ differences (p - s_i p) / (z_i - z_{i+1}).  All pi-, i- and sqrt(2)-powers
 product) live in the SymScalar prefactor, so the polynomial side stays
 rational.
 
-The product, the skew sum and the division clear denominators once and
-run on integer numerators: the skew sum collects each term on the strictly
+Every polynomial here, the one-variable factors P_{a,b,2} from ``pab``
+included, is an ``exact.MultiPoly`` (re-exported from this module).  The
+product, the skew sum and the division clear denominators once and run on
+integer numerators: the skew sum collects each term on the strictly
 decreasing representative of its orbit and expands every representative
 once, and the divided differences act on the integer coefficient dict.
 A product or skew sum past MAX_TERMS terms, or a coefficient too long for
@@ -28,7 +30,10 @@ with the index pair (a, b) of ``ab_params`` exchanged.
 The module also carries the normalization-constant chain, built from
 vol(U_n), the two independent value-at-zero computations (the closed
 factorial form and the l x l minor of derivative values at 0), and the
-multiplicity-one identity |T(0)| = 2 * vol(U_l) * dim Pi'.
+multiplicity-one identity |T(0)| = 2 * vol(U_l) * dim Pi'.  Distributions
+and values at zero take their prefactors from the part of the chain that
+``constants`` extends by vol(U_l') and vol(S^h1), so they never build
+0! 1! ... (l'-1)!; ``constants`` refuses a vol(U_l') too long for ``str``.
 """
 
 from __future__ import annotations
@@ -37,12 +42,12 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import exp, factorial, fsum, isfinite, lcm, lgamma, log, log10, pi, prod
+from math import exp, factorial, isfinite, lcm, lgamma, log, log10, pi, prod
 
 import numpy as np
 
-from .exact import SymScalar, det, superfactorial
-from .pab import UniPoly, pab2
+from .exact import MultiPoly, SymScalar, det, superfactorial
+from .pab import pab2
 from .reps import (
     DualPair,
     HCParam,
@@ -101,166 +106,19 @@ def perm_sign(perm) -> int:
     return sign
 
 
-class MultiPoly:
-    """Sparse multivariate polynomial with exact rational coefficients.
-
-    Terms map exponent tuples (one slot per variable) to nonzero Fractions.
-    """
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for e, c in (terms or {}).items():
-            c = Fraction(c)
-            if c != 0:
-                clean[tuple(e)] = c
-        self.terms = clean
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars)
-
-    @classmethod
-    def _wrap(cls, nvars: int, terms: dict) -> "MultiPoly":
-        """Adopt a dict of nonzero Fractions without the copying pass of __init__."""
-        out = cls.__new__(cls)
-        out.nvars = nvars
-        out.terms = terms
-        return out
-
-    # -- structure ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, MultiPoly):
-            return self.nvars == other.nvars and self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def coefficient(self, e) -> Fraction:
-        return self.terms.get(tuple(e), Fraction(0))
-
-    # -- algebra ------------------------------------------------------------
-
-    def _check(self, other: "MultiPoly"):
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return MultiPoly(self.nvars, terms)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, MultiPoly):
-            self._check(other)
-            terms: dict[tuple[int, ...], Fraction] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-            return MultiPoly(self.nvars, terms)
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def permuted(self, perm) -> "MultiPoly":
-        """Relabel variables: variable i becomes variable perm[i]."""
-        terms = {}
-        for e, c in self.terms.items():
-            f = [0] * self.nvars
-            for i, d in enumerate(e):
-                f[perm[i]] = d
-            terms[tuple(f)] = c
-        return MultiPoly(self.nvars, terms)
-
-    def is_symmetric(self) -> bool:
-        """Invariance under every transposition of adjacent variables."""
-        for i in range(self.nvars - 1):
-            perm = list(range(self.nvars))
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-            if self.permuted(perm) != self:
-                return False
-        return True
-
-    def eval_float(self, point) -> float:
-        """Value at a point: ``math.fsum`` of the float terms, exactly rounded and
-        so independent of term order; OverflowError or ValueError on overflow."""
-        z = [float(v) for v in point]
-        terms = []
-        for e, c in self.terms.items():
-            term = float(c)
-            for v, d in zip(z, e):
-                term *= v**d
-            terms.append(term)
-        return fsum(terms)
-
-    # -- presentation -------------------------------------------------------
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: item[0], reverse=True)
-
-    def to_json(self) -> list[dict]:
-        return [{"exp": list(e), "coeff": str(c)} for e, c in self.sorted_terms()]
-
-    def to_latex(self) -> str:
-        if self.is_zero():
-            return "0"
-        pieces = []
-        for e, c in self.sorted_terms():
-            mono = " ".join(
-                f"z_{{{i + 1}}}" if d == 1 else f"z_{{{i + 1}}}^{{{d}}}"
-                for i, d in enumerate(e)
-                if d
-            )
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)} {mono}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "MultiPoly(0)"
-        return "MultiPoly(" + " + ".join(f"{c}*z^{e}" for e, c in self.sorted_terms()) + ")"
-
-
 # ---------------------------------------------------------------------------
 # Skew-symmetrization and exact Vandermonde division
 # ---------------------------------------------------------------------------
 
 
-def _product(factors: list[UniPoly], l: int) -> MultiPoly:
-    """prod_j factors[j](z_j) in l variables, multiplied out on integer numerators."""
+def _product(factors: list[MultiPoly], l: int) -> MultiPoly:
+    """prod_j factors[j](z_j) of one-variable factors in l variables, multiplied
+    out on integer numerators."""
     den, terms = 1, {(): 1}
     for p in factors:
-        d, num = _numerators(dict(enumerate(p.coeffs)))
+        d, num = _numerators(p.terms)
         den *= d
-        terms = {e + (k,): n * m for e, n in terms.items() for k, m in num.items() if m}
+        terms = {e + k: n * m for e, n in terms.items() for k, m in num.items()}
     return MultiPoly._wrap(l, {e: Fraction(n, den) for e, n in terms.items()})
 
 
@@ -278,6 +136,12 @@ def _numerators(terms: dict) -> tuple[int, dict]:
 def _check_size(terms: int, what: str):
     if terms > MAX_TERMS:
         raise ValueError(f"{what} would have {terms} terms, past the limit of {MAX_TERMS}")
+
+
+def _check_digits(digits: int, what: str):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    if limit and digits > limit:
+        raise ValueError(f"{what} would have {digits} digits, past the print limit of {limit}")
 
 
 def skew_symmetrize(p: MultiPoly) -> MultiPoly:
@@ -362,21 +226,14 @@ def vol_unitary(n: int) -> SymScalar:
     return SymScalar(Fraction(1, superfactorial(n)), 2 * m, m)
 
 
-def constants(pair: DualPair) -> dict[str, SymScalar]:
-    """All normalization constants of the pair, as exact symbolic scalars.
-
-    The sign of C_2 and the i-power conventions are fixed choices; every
-    downstream identity is checked on moduli, where they drop out.
-    """
+def _chain(pair: DualPair) -> dict[str, SymScalar]:
+    """All constants but vol(U_l') and vol(S^h1): the ones that need no
+    factorial past (l-1)!, so building them costs the same at every l'."""
     l, lp = pair.l, pair.lp
     half = l * (l - 1) // 2
 
     vol_g = vol_unitary(l)
-    vol_gp = vol_unitary(lp)
     vol_h = SymScalar.two_pi_power(l)
-    # centralizer of the Cartan slice: 2^(l/2) vol(H) vol(U_{l'-l})
-    vol_s_h1 = vol_h * vol_unitary(lp - l) * SymScalar(Fraction(1), l)
-
     c_weyl = vol_g / vol_h
     c_w = SymScalar(Fraction(1), l * (2 * lp + 1))
     c_z = SymScalar(Fraction(1), 2 * l, l, -half % 4)
@@ -387,9 +244,7 @@ def constants(pair: DualPair) -> dict[str, SymScalar]:
     c_bullet = SymScalar(Fraction(2), 2 * l, l) * c_1 / c_weyl
     return {
         "vol_G": vol_g,
-        "vol_Gprime": vol_gp,
         "vol_H": vol_h,
-        "vol_S_h1": vol_s_h1,
         "c_weyl": c_weyl,
         "C_W": c_w,
         "C_z": c_z,
@@ -398,6 +253,23 @@ def constants(pair: DualPair) -> dict[str, SymScalar]:
         "C_h1": c_h1,
         "C_bullet": c_bullet,
     }
+
+
+def constants(pair: DualPair) -> dict[str, SymScalar]:
+    """All normalization constants of the pair, as exact symbolic scalars.
+
+    The sign of C_2 and the i-power conventions are fixed choices; every
+    downstream identity is checked on moduli, where they drop out.  Refuses,
+    before building it, a vol(U_l') whose rational, the odd part of
+    1 / prod_{k<l'} k!, is too long for ``str``.
+    """
+    l, lp = pair.l, pair.lp
+    v = sum(k - bin(k).count("1") for k in range(lp))  # 2-adic valuation of prod_{k<l'} k!
+    _check_digits(int(sum(lgamma(k + 1) for k in range(lp)) / log(10) - v * log10(2)) + 1, "vol(U_l')")
+    chain = _chain(pair)
+    # centralizer of the Cartan slice: 2^(l/2) vol(H) vol(U_{l'-l})
+    vol_s_h1 = chain["vol_H"] * vol_unitary(lp - l) * SymScalar(Fraction(1), l)
+    return {**chain, "vol_Gprime": vol_unitary(lp), "vol_S_h1": vol_s_h1}
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +308,11 @@ def _pipeline(ab, l: int) -> MultiPoly:
     them, prod_j b_j product terms past MAX_TERMS and a top coefficient
     prod_j 2^(-a_j) / (b_j - 1)! (the longest) too long for ``str``."""
     _check_size(prod(b for _, b in ab), "the product")
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
     two = -sum(a for a, _ in ab)  # the top coefficient is 2^two / prod_j (b_j - 1)!
     v = sum(b - 1 - bin(b - 1).count("1") for _, b in ab)  # 2-adic valuation of prod_j (b_j - 1)!
     num = max(two - v, 0) * log10(2)
     den = sum(lgamma(b) for _, b in ab) / log(10) - min(two, v) * log10(2)
-    digits = int(max(num, den)) + 1
-    if limit and digits > limit:
-        raise ValueError(f"a coefficient would have {digits} digits, past the print limit of {limit}")
+    _check_digits(int(max(num, den)) + 1, "a coefficient")
     return divide_by_vandermonde(skew_symmetrize(_product([pab2(a, b) for a, b in ab], l)))
 
 
@@ -469,7 +338,7 @@ def distribution_G(mu: HCParam, pair: DualPair) -> DistributionData:
     if any(b <= 0 for _, b in ab):
         return DistributionData(SymScalar.zero(), MultiPoly.zero(l))
     inv = _pipeline(ab, l)
-    pref = constants(pair)["C_bullet"] * _central_character(mu) * _slice_prefactor(pair)
+    pref = _chain(pair)["C_bullet"] * _central_character(mu) * _slice_prefactor(pair)
     return DistributionData(pref, inv)
 
 
@@ -485,7 +354,7 @@ def distribution_Gprime(mup: HCParam, pair: DualPair) -> DistributionData:
         return DistributionData(SymScalar.zero(), MultiPoly.zero(l))
     inv = _pipeline([(b, a) for a, b in ab_params(s0_apply(mup, pair)[:l], pair)], l)
     pref = (
-        constants(pair)["C_bullet"]
+        _chain(pair)["C_bullet"]
         * _central_character(mup)
         * mysterious_factor(mup, pair)
         * _slice_prefactor(pair)
@@ -520,8 +389,8 @@ def proportionality(mu: HCParam, mup: HCParam, pair: DualPair) -> SymScalar:
 
 def _value_prefactor(pair: DualPair) -> SymScalar:
     """|C_bullet| c_weyl = |C_bullet| (2 pi)^(l(l-1)/2) / prod_{k<l} k!."""
-    cons = constants(pair)
-    return abs(cons["C_bullet"]) * cons["c_weyl"]
+    chain = _chain(pair)
+    return abs(chain["C_bullet"]) * chain["c_weyl"]
 
 
 def value_at_zero_closed(mu: HCParam, pair: DualPair) -> SymScalar:
@@ -535,8 +404,8 @@ def value_at_zero_closed(mu: HCParam, pair: DualPair) -> SymScalar:
     if not occurs_G(mu, pair):
         raise ValueError("parameter does not occur")
     l, lp = pair.l, pair.lp
-    bracket = factorial_ratio(mu, delta_of(pair)) * root_product(mu) * superfactorial(lp - l)
-    bracket /= superfactorial(lp)
+    bracket = factorial_ratio(mu, delta_of(pair)) * root_product(mu)
+    bracket /= prod(map(factorial, range(lp - l, lp)))
     two_pow = l * lp - l * (l + 1) // 2
     return abs(_value_prefactor(pair) * SymScalar(bracket, 2 * two_pow))
 
@@ -554,7 +423,7 @@ def value_at_zero_oracle(mu: HCParam, pair: DualPair) -> SymScalar:
     # d^k P_{a,b,2} = P_{a,b-k,2}, so the derivative value at 0 is the
     # constant term of the lowered-index polynomial.
     ab = ab_params(mu, pair)
-    minor = det([[pab2(a, b - k).coefficient(0) for k in range(pair.l)] for a, b in ab])
+    minor = det([[pab2(a, b - k).coefficient((0,)) for k in range(pair.l)] for a, b in ab])
     return _value_prefactor(pair) * abs(minor)
 
 

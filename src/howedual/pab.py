@@ -7,8 +7,9 @@ For integers a, b the polynomial in a real variable xi is
 
 and the zero polynomial for b <= 0.  Its mirror is
 P_{a,b,-2}(xi) = P_{b,a,2}(-xi), and the piecewise object glues the two
-branches on the open half-lines with a factor 2*pi.  Coefficients are exact
-rationals throughout; floating point only enters at evaluation time.
+branches on the open half-lines with a factor 2*pi.  Both branches are
+one-variable ``MultiPoly`` values, keyed by the exponent tuple (d,), with
+exact rational coefficients; floating point only enters at evaluation time.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, pi
 
-from .exact import rising
+from .exact import MultiPoly, rising
 
 __all__ = [
-    "UniPoly",
     "pab2",
     "pab_minus2",
     "pab_piecewise_eval",
@@ -28,133 +28,24 @@ __all__ = [
 ]
 
 
-class UniPoly:
-    """Dense univariate polynomial with exact rational coefficients.
+def pab2(a: int, b: int) -> MultiPoly:
+    """The polynomial P_{a,b,2} as a one-variable MultiPoly; zero when b <= 0.
 
-    ``coeffs[d]`` is the coefficient of xi^d; trailing zeros are stripped so
-    the representation is canonical.  The zero polynomial has no
-    coefficients and degree -1.
+    Built from the term ratio of its series: c_0 = 2^(-a) / (b-1)! is the
+    coefficient of xi^(b-1) and c_(k+1) = c_k (a+k)(b-1-k) / (2(k+1)) that
+    of xi^(b-2-k), so each coefficient costs one multiplication.  The terms
+    past k = -a vanish with the rising factor and are dropped.
     """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    # -- basic structure ----------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def coefficient(self, d: int) -> Fraction:
-        if 0 <= d < len(self.coeffs):
-            return self.coeffs[d]
-        return Fraction(0)
-
-    # -- algebra ------------------------------------------------------------
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            [self.coefficient(d) + other.coefficient(d) for d in range(n)]
-        )
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, UniPoly):
-            if self.is_zero() or other.is_zero():
-                return UniPoly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return UniPoly(out)
-        if isinstance(other, (int, Fraction)):
-            return UniPoly([c * other for c in self.coeffs])
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly([d * c for d, c in enumerate(self.coeffs)][1:])
-
-    def compose_neg(self) -> "UniPoly":
-        """The polynomial xi -> p(-xi)."""
-        return UniPoly([c if d % 2 == 0 else -c for d, c in enumerate(self.coeffs)])
-
-    def times_power(self, c: int) -> "UniPoly":
-        """Multiply by xi^c."""
-        if c < 0:
-            raise ValueError("negative power shift")
-        if self.is_zero():
-            return UniPoly()
-        return UniPoly([Fraction(0)] * c + list(self.coeffs))
-
-    def __call__(self, x):
-        """Horner evaluation; exact for Fraction input, float for float."""
-        acc = 0 * x if self.coeffs else 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    # -- presentation -------------------------------------------------------
-
-    def to_json(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "UniPoly(0)"
-        terms = []
-        for d in range(self.degree, -1, -1):
-            c = self.coefficient(d)
-            if c == 0:
-                continue
-            if d == 0:
-                terms.append(str(c))
-            elif d == 1:
-                terms.append(f"{c}*xi")
-            else:
-                terms.append(f"{c}*xi^{d}")
-        return "UniPoly(" + " + ".join(terms) + ")"
+    terms, c = {}, Fraction(2) ** -a / factorial(max(b - 1, 0))
+    for k in range(b if a > 0 else min(b, 1 - a)):
+        terms[(b - 1 - k,)] = c
+        c *= Fraction((a + k) * (b - 1 - k), 2 * (k + 1))
+    return MultiPoly._wrap(1, terms)
 
 
-def pab2(a: int, b: int) -> UniPoly:
-    """The polynomial P_{a,b,2}; the zero polynomial when b <= 0."""
-    if b <= 0:
-        return UniPoly()
-    coeffs = [Fraction(0)] * b
-    for k in range(b):
-        coeffs[b - 1 - k] = (
-            Fraction(rising(a, k), factorial(k) * factorial(b - 1 - k))
-            * Fraction(2) ** (-a - k)
-        )
-    return UniPoly(coeffs)
-
-
-def pab_minus2(a: int, b: int) -> UniPoly:
+def pab_minus2(a: int, b: int) -> MultiPoly:
     """The mirror P_{a,b,-2}(xi) = P_{b,a,2}(-xi)."""
-    return pab2(b, a).compose_neg()
+    return MultiPoly._wrap(1, {e: -c if e[0] % 2 else c for e, c in pab2(b, a).terms.items()})
 
 
 def pab_piecewise_eval(a: int, b: int, xi: float) -> float:
@@ -165,10 +56,13 @@ def pab_piecewise_eval(a: int, b: int, xi: float) -> float:
     is 0 by convention.
     """
     if xi > 0:
-        return 2.0 * pi * float(pab2(a, b)(Fraction(xi)))
-    if xi < 0:
-        return 2.0 * pi * float(pab_minus2(a, b)(Fraction(xi)))
-    return 0.0
+        p = pab2(a, b)
+    elif xi < 0:
+        p = pab_minus2(a, b)
+    else:
+        return 0.0
+    x = Fraction(xi)  # summed exactly and rounded once
+    return 2.0 * pi * float(sum(c * x**d for (d,), c in p.terms.items()))
 
 
 def pab_value_at_zero(a: int, b: int) -> Fraction:

@@ -295,7 +295,7 @@ def dim_piprime(mup: HCParam, pair: DualPair) -> int:
         raise ValueError("parameter does not occur")
     tail = mup[pair.lp - pair.l :]
     out = factorial_ratio([-x for x in tail], delta_of(pair)) * root_product(tail)
-    out *= Fraction(superfactorial(pair.lp - pair.l), superfactorial(pair.lp))
+    out /= prod(map(factorial, range(pair.lp - pair.l, pair.lp)))
     if out.denominator != 1:
         raise ValueError("dimension formula did not produce an integer")
     return int(out)

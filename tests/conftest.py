@@ -1,6 +1,17 @@
+from fractions import Fraction
 from itertools import combinations
 
-from howedual import DualPair, HCParam, delta_of
+from howedual import DualPair, HCParam, MultiPoly, delta_of
+
+
+def derivative(p: MultiPoly) -> MultiPoly:
+    """d/dxi of a one-variable polynomial."""
+    return MultiPoly(1, {(d - 1,): d * c for (d,), c in p.terms.items() if d})
+
+
+def value_at(p: MultiPoly, x: Fraction) -> Fraction:
+    """Exact value of a one-variable polynomial at a rational point."""
+    return sum((c * x**d for (d,), c in p.terms.items()), Fraction(0))
 
 
 def occurring_params(pair: DualPair, max_doubled: int = 13) -> list[HCParam]:

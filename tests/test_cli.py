@@ -1,5 +1,6 @@
 """CLI subcommands: payloads, exit codes, determinism, round trips."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -307,6 +308,40 @@ def test_dist_with_unprintable_coefficients_fails_at_once(mu, digits):
         f"past the print limit of {limit}"
     }
     assert proc.stderr == b""
+
+
+def run_to_json(*argv):
+    """Exit code and the one strict-JSON stdout document of a subprocess run
+    that writes no traceback."""
+    proc = run_module(*argv)
+    assert b"Traceback" not in proc.stderr
+    return proc.returncode, json.loads(proc.stdout, parse_constant=_reject_constant)
+
+
+def test_constants_at_the_print_limit_keeps_its_bytes():
+    # sha256 of the stdout that constants --l 1 --lp 90 printed before the
+    # refusal existed; its vol(U_l') rational has 4190 digits
+    proc = run_module("constants", "--l", "1", "--lp", "90")
+    assert proc.returncode == 0 and proc.stderr == b""
+    digest = "805ab118a3c3c58459b890679c2eee3b6f79c044dddf03178b714344598d988c"
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize("lp, digits", [("91", 4302), ("100000", 20237941715)])
+def test_constants_past_the_print_limit_fails_at_once(lp, digits):
+    # the odd part of prod_{k<l'} k! is refused before vol(U_l') is built
+    code, payload = run_to_json("constants", "--l", "1", "--lp", lp)
+    limit = sys.get_int_max_str_digits()
+    assert code == 1
+    assert payload == {"error": f"vol(U_l') would have {digits} digits, past the print limit of {limit}"}
+
+
+def test_large_second_rank_costs_what_the_first_rank_does():
+    # these build no factorial past l' - 1 and no superfactorial of l'
+    code, payload = run_to_json("dims", "--l", "1", "--lp", "3000", "--mu", "1500")
+    assert code == 0 and payload["dim_pi"] == payload["dim_pi_prime"] == 1
+    code, payload = run_to_json("dist", "--l", "1", "--lp", "5000", "--mu", "2500")
+    assert code == 0 and len(payload["poly"]) == 1
 
 
 def test_overflowing_eigenvalue_writes_nothing_to_stderr(tmp_path):

@@ -8,7 +8,7 @@ from math import pi
 import pytest
 
 from howedual import HalfInt, SymScalar, det, factorial, rising
-from howedual.exact import superfactorial
+from howedual.exact import _odd_part, superfactorial
 from howedual.intertwine import perm_sign
 
 
@@ -135,6 +135,13 @@ def test_symscalar_canonical_form():
     assert SymScalar(Fraction(1), 0, 0, 3) == SymScalar(Fraction(-1), 0, 0, 1)
     # zero is unique
     assert SymScalar(Fraction(0), 5, 2, 3) == SymScalar.zero()
+
+
+def test_odd_part_of_large_powers_of_two():
+    # valuations in the tens of thousands, both signs, in numerator and denominator
+    for k, j in [(0, 0), (1, 0), (0, 1), (40_000, 3), (7, 60_000), (100_000, 0)]:
+        for odd in (Fraction(1), Fraction(-3, 5), Fraction(3**50, 7**20)):
+            assert _odd_part(odd * Fraction(2**k, 2**j)) == (odd, k - j)
 
 
 def test_symscalar_products():
