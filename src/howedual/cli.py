@@ -110,7 +110,7 @@ def _cmd_correspond(args) -> tuple[int, dict]:
         return 0, {
             "mu": mu.to_json(),
             "dim_pi": dim_weyl(mu),
-            "dim_pi_prime": dim_weyl(mup),
+            "dim_pi_prime": dim_piprime(mup, pair),
         }
     mu = _mu_from(args, pair)
     mup = correspond(mu, pair)

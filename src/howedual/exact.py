@@ -129,24 +129,8 @@ class HalfInt:
             return o
         return HalfInt(self.doubled - o.doubled)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return HalfInt(o.doubled - self.doubled)
-
     def __neg__(self) -> "HalfInt":
         return HalfInt(-self.doubled)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return HalfInt(self.doubled * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __abs__(self) -> "HalfInt":
-        return HalfInt(abs(self.doubled))
 
     def __str__(self) -> str:
         if self.is_integer():
@@ -265,9 +249,6 @@ class SymScalar:
             return SymScalar(self.rat**k, self.sqrt2_pow * k, self.pi_pow * k, self.i_pow * k)
         return SymScalar.one() / self ** (-k)
 
-    def __neg__(self) -> "SymScalar":
-        return SymScalar(-self.rat, self.sqrt2_pow, self.pi_pow, self.i_pow)
-
     def __abs__(self) -> "SymScalar":
         """Modulus: drops the i-power and the sign of the rational part."""
         return SymScalar(abs(self.rat), self.sqrt2_pow, self.pi_pow, 0)
@@ -280,9 +261,6 @@ class SymScalar:
         from math import pi
 
         return float(self.rat) * 2.0 ** (self.sqrt2_pow / 2.0) * pi**self.pi_pow
-
-    def __float__(self) -> float:
-        return self.to_float()
 
     def to_complex(self) -> complex:
         from math import pi

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, prod
+from math import factorial, perm, prod
 
 from .exact import HalfInt, SymScalar, superfactorial
 
@@ -271,9 +271,13 @@ def root_product(xs) -> Fraction:
 
 
 def factorial_ratio(xs, d: HalfInt) -> Fraction:
-    """prod_j (x_j + d - 1)! / (x_j - d)! over half-integers x_j in d + Z_{>=0}."""
-    ratios = (Fraction(factorial((x + d - 1).to_int()), factorial((x - d).to_int())) for x in xs)
-    return prod(ratios, start=Fraction(1))
+    """prod_j (x_j + d - 1)! / (x_j - d)! over half-integers x_j in d + Z_{>=0}.
+
+    Each ratio is the product of the 2d - 1 integers above x_j - d, that is
+    ``math.perm(x_j + d - 1, 2d - 1)``, so no factorial is built and the
+    result is an integer.
+    """
+    return Fraction(prod(perm((x + d - 1).to_int(), d.doubled - 1) for x in xs))
 
 
 def dim_weyl(mu: HCParam) -> int:

@@ -7,16 +7,19 @@ determinant identities.  This module checks each one by brute force:
 quadrature or Monte Carlo on the analytic side, exact rational arithmetic
 on the combinatorial side.
 
-Randomness is counter-based (Philox): a draw depends only on
-(seed, counter), so sharded, threaded and sequential runs produce
-bit-identical estimates; per-block partial sums are reduced with ``math.fsum``, which is
-exactly rounded and hence order-independent.
+Randomness is counter-based (Philox): a draw depends only on (seed,
+stream path, block index).  ``RngStream.shard`` nests, so the blocks of
+one check never meet the blocks of another, and sharded, threaded and
+sequential runs produce bit-identical estimates.  ``blocked_sums`` is the
+one place that lays draws out in blocks and chunks; per-block sums are
+reduced with ``math.fsum``, which is exactly rounded and hence
+order-independent.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, fsum, pi
@@ -48,7 +51,8 @@ __all__ = [
 _BLOCK = 1 << 17
 # Philox counter distance between shards: no shard reaches the next one
 _SHARD_STRIDE = 1 << 40
-# rows per chunk inside a block: bounds the working set of a block in flight
+# rows per chunk inside a block (read only by ``blocked_sums``): bounds the
+# working set of a block in flight
 _CHUNK = 8192
 
 
@@ -66,7 +70,13 @@ class RngStream:
         return np.random.Generator(bg)
 
     def shard(self, index: int) -> "RngStream":
-        return RngStream(self.seed, self.counter + index * _SHARD_STRIDE)
+        """Substream ``index`` (0 <= index < _SHARD_STRIDE).
+
+        Scaling the sum of counter and index makes shards nest: the shards
+        of two different streams start at different multiples of the stride
+        and stay a stride apart, at any depth.
+        """
+        return RngStream(self.seed, (self.counter + index) * _SHARD_STRIDE)
 
 
 @dataclass(frozen=True)
@@ -84,13 +94,7 @@ class McReport:
         return cls(estimate, target, abs(estimate - target) / abs(target), samples, seed)
 
     def to_json(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "target": self.target,
-            "rel_error": self.rel_error,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def block_layout(samples: int) -> list[tuple[int, int]]:
@@ -113,34 +117,43 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def blocked_sums(rng: RngStream, samples: int, partial_sum) -> list[float]:
-    """Per-block partial sums of ``samples`` draws, in block order.
+def blocked_sums(rng: RngStream, samples: int, values) -> list[float]:
+    """Per-block sums of the integrand at ``samples`` draws, in block order.
 
-    ``partial_sum(generator, m)`` must return the sum of m draws.  Block i
-    uses the generator of ``rng.shard(i)``, so each block depends only on
-    (seed, block index): workers may split the blocks arbitrarily and merge
-    by concatenating their lists.  Blocks run on a thread pool of up to one
-    thread per available CPU, so ``partial_sum`` must be thread-safe: no
-    shared mutable state, and no randomness but the generator it is given.
-    The list does not depend on the number of threads.
+    ``values(generator, m)`` must return the integrand at m draws taken
+    from the generator in one go, as an array of length m.  Block i uses
+    the generator of ``rng.shard(i)``, fills its values ``_CHUNK`` rows at
+    a time and sums them once with ``np.sum``; numpy fills draws in order,
+    so a chunked block equals a one-shot block.  Each block depends only on
+    (seed, stream path, block index): workers may split the blocks
+    arbitrarily and merge by concatenating their lists.  Blocks run on a
+    thread pool of up to one thread per available CPU, so ``values`` must
+    be thread-safe: no shared mutable state, and no randomness but the
+    generator it is given.  The list does not depend on the number of
+    threads.
     """
     from concurrent.futures import ThreadPoolExecutor  # local: ~8 ms on every CLI start
 
     def block_sum(index_size: tuple[int, int]) -> float:
         i, m = index_size
-        return partial_sum(rng.shard(i).generator(), m)
+        g = rng.shard(i).generator()
+        vals = np.empty(m)
+        for s in range(0, m, _CHUNK):
+            e = min(s + _CHUNK, m)
+            vals[s:e] = values(g, e - s)
+        return float(np.sum(vals))
 
     layout = block_layout(samples)
     with ThreadPoolExecutor(max_workers=max(1, min(_available_cpus(), len(layout)))) as pool:
         return list(pool.map(block_sum, layout))
 
 
-def blocked_mean(rng: RngStream, samples: int, partial_sum) -> float:
-    """Mean over blocked draws; ``fsum`` of the block sums is exactly
-    rounded, so the result is independent of the merge order."""
+def blocked_mean(rng: RngStream, samples: int, values) -> float:
+    """Mean of the integrand over blocked draws; ``fsum`` of the block sums
+    is exactly rounded, so the result is independent of the merge order."""
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
-    return fsum(blocked_sums(rng, samples, partial_sum)) / samples
+    return fsum(blocked_sums(rng, samples, values)) / samples
 
 
 def haar_unitary(n: int, rng: RngStream, count: int | None = None) -> np.ndarray:
@@ -194,28 +207,20 @@ def cayley_volume_check(n: int, samples: int, rng: RngStream) -> McReport:
     if n != 2:
         raise ValueError("cayley_volume_check supports n in {1, 2}")
 
-    # box bounds for (h11, h22, offdiag coords): eigenvalues in (-pi/2, pi/2)
-    # force |h_jj| < pi/2 and h3^2 + h4^2 < pi^2/2
-    box_volume = pi**2 * (2.0 * pi / np.sqrt(2.0)) ** 2
+    # the box: |h_jj| < pi/2 and h3^2 + h4^2 < pi^2/2 hold on the spectral
+    # ball; with (h11, h22, h3, h4) = pi (u1, u2, sqrt(2) u3, sqrt(2) u4) and
+    # u uniform on [-1/2, 1/2)^4 it has volume 2 pi^4
+    box_volume = 2.0 * pi**4
 
-    def part(g: np.random.Generator, m: int) -> float:
-        # all h12 draws precede all h34 draws in the stream; h34 and the
-        # integrand go chunk by chunk, and one np.sum over the block keeps
-        # the rounding of the one-shot sum
-        h12 = g.uniform(-pi / 2, pi / 2, size=(m, 2))
-        vals = np.empty(m)
-        for s in range(0, m, _CHUNK):
-            e = min(s + _CHUNK, m)
-            h34 = g.uniform(-pi / np.sqrt(2.0), pi / np.sqrt(2.0), size=(e - s, 2))
-            a, b = h12[s:e, 0], h12[s:e, 1]
-            mean = (a + b) / 2.0
-            half_gap = np.sqrt(((a - b) / 2.0) ** 2 + (h34[:, 0] ** 2 + h34[:, 1] ** 2) / 2.0)
-            inside = (np.abs(mean) + half_gap) < pi / 2
-            gap = 2.0 * half_gap
-            vals[s:e] = np.where(inside, 16.0 * np.sinc(gap / pi) ** 2, 0.0)
-        return float(np.sum(vals) * box_volume)
+    def values(g: np.random.Generator, m: int) -> np.ndarray:
+        u = g.random((m, 4)) - 0.5
+        # mean and half gap of the eigenvalues of H, in units of pi
+        mean = (u[:, 0] + u[:, 1]) / 2.0
+        half_gap = np.sqrt(((u[:, 0] - u[:, 1]) / 2.0) ** 2 + u[:, 2] ** 2 + u[:, 3] ** 2)
+        inside = (np.abs(mean) + half_gap) < 0.5
+        return np.where(inside, 16.0 * np.sinc(2.0 * half_gap) ** 2, 0.0)
 
-    est = blocked_mean(rng, samples, part)
+    est = blocked_mean(rng, samples, values) * box_volume
     return McReport.build(est, 8 * pi**3, samples, rng.seed)
 
 
@@ -259,39 +264,29 @@ def gaussian_vandermonde_double_sum(l: int, c: int) -> int:
     return out
 
 
-def gaussian_vandermonde(
-    l: int, c: int, rng: RngStream | None = None, samples: int = 8_000_000
-) -> tuple[int, McReport]:
+def gaussian_vandermonde(l: int, c: int, rng: RngStream, samples: int) -> tuple[int, McReport]:
     """int_{(R+)^l} prod_{j<k}(y_j-y_k)^2 prod_j y_j^c e^(-sum y) dy.
 
-    Exact value by the determinant reduction (cross-checked against the
-    double sum); numeric value by Monte Carlo with Gamma(c+1, 1) proposals
-    per coordinate, which absorb the y^c factor and keep the weight
-    variance finite.
+    Exact value by the determinant reduction (the tests cross-check it
+    against the double sum); numeric value by Monte Carlo with Gamma(c+1, 1)
+    proposals per coordinate, which absorb the y^c factor and keep the
+    weight variance finite.
     """
     if l > 4:
         raise ValueError("exact determinant path is sized for l <= 4")
     if c < 0:
         raise ValueError("c must be nonnegative")
     exact = gaussian_vandermonde_exact(l, c)
-    assert exact == gaussian_vandermonde_double_sum(l, c)
-    if rng is None:
-        rng = RngStream(0)
-    gamma_norm = float(factorial(c)) ** l
 
-    def part(g: np.random.Generator, m: int) -> float:
-        # draws chunk by chunk (numpy fills sequentially, so the stream is
-        # the one-shot one); one np.sum over the block keeps its rounding
+    def values(g: np.random.Generator, m: int) -> np.ndarray:
+        y = g.gamma(shape=c + 1, scale=1.0, size=(m, l))
         v = np.ones(m)
-        for s in range(0, m, _CHUNK):
-            e = min(s + _CHUNK, m)
-            y = g.gamma(shape=c + 1, scale=1.0, size=(e - s, l))
-            for j in range(l):
-                for k in range(j + 1, l):
-                    v[s:e] *= (y[:, j] - y[:, k]) ** 2
-        return float(np.sum(v) * gamma_norm)
+        for j in range(l):
+            for k in range(j + 1, l):
+                v *= (y[:, j] - y[:, k]) ** 2
+        return v
 
-    est = blocked_mean(rng, samples, part)
+    est = blocked_mean(rng, samples, values) * float(factorial(c)) ** l
     return exact, McReport.build(est, float(exact), samples, rng.seed)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -276,13 +277,13 @@ def test_unknown_suite_next_to_all_is_usage_error(capsys):
     assert code == 2 and "'nope'" in payload["error"]
 
 
-def run_module(*argv):
+def run_module(*argv, timeout=30):
     """``python -m howedual`` in a subprocess, with this checkout's sources."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, "-m", "howedual", *argv], env=env, capture_output=True, timeout=30
+        [sys.executable, "-m", "howedual", *argv], env=env, capture_output=True, timeout=timeout
     )
 
 
@@ -342,6 +343,26 @@ def test_large_second_rank_costs_what_the_first_rank_does():
     assert code == 0 and payload["dim_pi"] == payload["dim_pi_prime"] == 1
     code, payload = run_to_json("dist", "--l", "1", "--lp", "5000", "--mu", "2500")
     assert code == 0 and len(payload["poly"]) == 1
+
+
+def test_correspond_at_a_large_parameter_builds_no_factorial_of_it():
+    # (x + delta - 1)! / (x - delta)! is the product of the l' - l integers
+    # above x - delta; with the two factorials this took about 30 s
+    proc = run_module("correspond", "--l", "1", "--lp", "2", "--mu", "1000000", timeout=10)
+    assert proc.returncode == 0 and proc.stderr == b""
+    payload = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert payload == {"mu_prime": ["0", "-1000000"], "dim_pi": 1, "dim_pi_prime": 1000000}
+
+
+def test_correspond_back_at_a_large_second_rank():
+    # for l = 1, mu' is the rho-string of U_{l'-1} followed by -mu, and the
+    # Weyl formula gives dim = binomial(mu + l'/2 - 1, l' - 1)
+    mup = [str(1000 - j) for j in range(1, 2000)] + ["-20000"]
+    argv = ["--l", "1", "--lp", "2000", "--back", f"--mu-prime={','.join(mup)}"]
+    proc = run_module("correspond", *argv, timeout=10)
+    assert proc.returncode == 0 and proc.stderr == b""
+    payload = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert payload == {"mu": ["20000"], "dim_pi": 1, "dim_pi_prime": math.comb(20999, 1999)}
 
 
 def test_overflowing_eigenvalue_writes_nothing_to_stderr(tmp_path):

@@ -41,85 +41,113 @@ def test_rng_stream_determinism():
     assert not np.array_equal(a, c)
 
 
-def test_blocked_sums_shard_merge():
-    def part(g, m):
-        return float(np.sum(g.random(m)))
+def _uniforms(g, m):
+    return g.random(m)
 
+
+def _block_sum(rng, i, m, values):
+    """One block's sum with all of its values drawn in one call."""
+    return float(np.sum(values(rng.shard(i).generator(), m)))
+
+
+def test_blocked_sums_shard_merge():
     n = 400_000
-    full = blocked_sums(RngStream(3), n, part)
+    full = blocked_sums(RngStream(3), n, _uniforms)
     layout = block_layout(n)
-    worker_a = [part(RngStream(3).shard(i).generator(), m) for i, m in layout[:2]]
-    worker_b = [part(RngStream(3).shard(i).generator(), m) for i, m in layout[2:]]
+    worker_a = [_block_sum(RngStream(3), i, m, _uniforms) for i, m in layout[:2]]
+    worker_b = [_block_sum(RngStream(3), i, m, _uniforms) for i, m in layout[2:]]
     assert worker_a + worker_b == full
     # fsum is exactly rounded, so the merge order cannot change the mean
-    assert fsum(worker_b + worker_a) / n == blocked_mean(RngStream(3), n, part)
+    assert fsum(worker_b + worker_a) / n == blocked_mean(RngStream(3), n, _uniforms)
 
 
 def test_blocked_sums_worker_count_independent(monkeypatch):
-    def part(g, m):
-        return float(np.sum(g.random(m)))
-
     n = 1_000_000
-    several = blocked_sums(RngStream(3), n, part)
+    several = blocked_sums(RngStream(3), n, _uniforms)
     monkeypatch.setattr(verify, "_available_cpus", lambda: 8)
-    assert blocked_sums(RngStream(3), n, part) == several
+    assert blocked_sums(RngStream(3), n, _uniforms) == several
     monkeypatch.setattr(verify, "_available_cpus", lambda: 1)
-    assert blocked_sums(RngStream(3), n, part) == several
+    assert blocked_sums(RngStream(3), n, _uniforms) == several
 
 
 def test_blocked_sums_propagates_errors():
-    def part(g, m):
-        if m < 1 << 17:  # the last, partial block
+    def values(g, m):
+        if m < 8192:  # the last, partial chunk of the last block
             raise RuntimeError("block failed")
-        return float(np.sum(g.random(m)))
+        return g.random(m)
 
     with pytest.raises(RuntimeError, match="block failed"):
-        blocked_sums(RngStream(3), 400_000, part)
+        blocked_sums(RngStream(3), 400_000, values)
 
 
 def test_blocked_mean_needs_samples():
     with pytest.raises(ValueError):
-        blocked_mean(RngStream(0), 0, lambda g, m: 0.0)
+        blocked_mean(RngStream(0), 0, lambda g, m: np.zeros(m))
     with pytest.raises(ValueError):
         gaussian_vandermonde(1, 0, RngStream(0), samples=-5)
 
 
-def _serial_mean(rng, samples, part):
-    return fsum(part(rng.shard(i).generator(), m) for i, m in block_layout(samples)) / samples
+def test_shards_nest():
+    stride = verify._SHARD_STRIDE
+    assert RngStream(0).shard(5) == RngStream(0, 5 * stride)
+    # block 1 of shard 130 is not block 0 of shard 131
+    assert RngStream(0).shard(130).shard(1) != RngStream(0).shard(131).shard(0)
+    assert RngStream(0).shard(130).shard(1).counter == (130 * stride + 1) * stride
+
+
+def test_run_suite_generators_never_share_a_philox_position(monkeypatch):
+    # every generator run_suite creates starts at least one shard stride
+    # from every other one; at 20 000 samples each l = 3
+    # Gaussian-Vandermonde case runs 7 blocks, so a block index added to a
+    # neighbouring case's offset would land on that case's blocks
+    made = []
+    generator = RngStream.generator
+
+    def recording(self):
+        made.append((self.seed, self.counter))
+        return generator(self)
+
+    monkeypatch.setattr(RngStream, "generator", recording)
+    run_suite(["all"], 4, 20_000)  # too few samples for the gates to pass
+    positions = sorted(made)
+    # cayley_volume_n2's block, the blocks of the l = 1, 2, 3 cases for four
+    # c each, the two determinant suites, three Cayley-invariance and two
+    # distribution-invariance checks
+    assert len(positions) == 1 + 4 * (1 + 1 + 7) + 2 + 3 + 2
+    for (seed_a, a), (seed_b, b) in zip(positions, positions[1:]):
+        assert seed_a == seed_b == 4
+        assert b - a >= verify._SHARD_STRIDE
+
+
+def _serial_mean(rng, samples, values):
+    return fsum(_block_sum(rng, i, m, values) for i, m in block_layout(samples)) / samples
 
 
 def _gaussian_vandermonde_one_shot(l, c, rng, samples):
     """The estimate with every block drawn in one call and no threads."""
-    gamma_norm = float(factorial(c)) ** l
 
-    def part(g, m):
+    def values(g, m):
         y = g.gamma(shape=c + 1, scale=1.0, size=(m, l))
         v = np.ones(m)
         for j in range(l):
             for k in range(j + 1, l):
                 v *= (y[:, j] - y[:, k]) ** 2
-        return float(np.sum(v) * gamma_norm)
+        return v
 
-    return _serial_mean(rng, samples, part)
+    return _serial_mean(rng, samples, values) * float(factorial(c)) ** l
 
 
 def _cayley_volume_one_shot(rng, samples):
     """The n = 2 estimate with every block drawn in one call and no threads."""
-    box_volume = pi**2 * (2.0 * pi / np.sqrt(2.0)) ** 2
 
-    def part(g, m):
-        h12 = g.uniform(-pi / 2, pi / 2, size=(m, 2))
-        h34 = g.uniform(-pi / np.sqrt(2.0), pi / np.sqrt(2.0), size=(m, 2))
-        mean = (h12[:, 0] + h12[:, 1]) / 2.0
-        half_gap = np.sqrt(
-            ((h12[:, 0] - h12[:, 1]) / 2.0) ** 2 + (h34[:, 0] ** 2 + h34[:, 1] ** 2) / 2.0
-        )
-        inside = (np.abs(mean) + half_gap) < pi / 2
-        gap = 2.0 * half_gap
-        vals = np.where(inside, 16.0 * np.sinc(gap / pi) ** 2, 0.0)
-        return float(np.sum(vals) * box_volume)
+    def values(g, m):
+        u = g.random((m, 4)) - 0.5
+        mean = (u[:, 0] + u[:, 1]) / 2.0
+        half_gap = np.sqrt(((u[:, 0] - u[:, 1]) / 2.0) ** 2 + u[:, 2] ** 2 + u[:, 3] ** 2)
+        inside = (np.abs(mean) + half_gap) < 0.5
+        return np.where(inside, 16.0 * np.sinc(2.0 * half_gap) ** 2, 0.0)
 
-    return _serial_mean(rng, samples, part)
+    return _serial_mean(rng, samples, values) * 2.0 * pi**4
 
 
 def test_chunked_threaded_estimates_are_bit_identical():
@@ -270,7 +298,9 @@ def test_cw_identity():
 def test_mc_report():
     rep = McReport.build(1.02, 1.0, 100, 3)
     assert rep.rel_error == pytest.approx(0.02)
-    assert rep.to_json()["samples"] == 100
+    payload = rep.to_json()
+    assert list(payload) == ["estimate", "target", "rel_error", "samples", "seed"]
+    assert payload == {"estimate": 1.02, "target": 1.0, "rel_error": rep.rel_error, "samples": 100, "seed": 3}
 
 
 def test_mc_convergence_monitor():
