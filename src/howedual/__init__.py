@@ -4,8 +4,11 @@ Occurrence tests and the correspondence map for genuine representations,
 intertwining distributions as exact Gaussian-times-polynomial data, the
 full normalization-constant chain, the multiplicity-one identity, and a
 numeric harness that independently verifies the matrix integrals the
-constants rest on.
+constants rest on.  The harness (``howedual.verify`` and the names taken
+from it here) loads numpy and is imported on first use.
 """
+
+import importlib
 
 from .exact import HalfInt, MultiPoly, Rat, SymScalar, det, factorial, rising
 from .intertwine import (
@@ -44,18 +47,34 @@ from .reps import (
     rho_pp,
     s0_apply,
 )
-from .verify import (
-    McReport,
-    RngStream,
-    cayley_invariance_check,
-    cayley_volume_check,
-    cw_identity_check,
-    dan_determinant,
-    distribution_invariance,
-    forrester_warnaar_check,
-    gaussian_vandermonde,
-    haar_unitary,
-    vandermonde_identity,
+
+# Resolved by the module __getattr__ (PEP 562), which imports verify on first access.
+_VERIFY_NAMES = (
+    "McReport",
+    "RngStream",
+    "cayley_invariance_check",
+    "cayley_volume_check",
+    "cw_identity_check",
+    "dan_determinant",
+    "distribution_invariance",
+    "forrester_warnaar_check",
+    "gaussian_vandermonde",
+    "haar_unitary",
+    "vandermonde_identity",
 )
+
+
+def __getattr__(name):
+    # importlib, not ``from . import verify``: that looks the name up on this
+    # package first and would land back here.
+    if name == "verify" or name in _VERIFY_NAMES:
+        module = importlib.import_module(".verify", __name__)
+        return module if name == "verify" else getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), "verify", *_VERIFY_NAMES})
+
 
 __version__ = "0.1.0"

@@ -6,6 +6,11 @@ occurrence is required, or a failed occurrence query), 2 usage error
 3 verification failure.  Output is a single UTF-8 JSON document per
 invocation and is byte-identical for identical argv and seed; the
 environment variable HD_SEED overrides --seed.
+
+Only the numeric subcommands load numpy: ``eval``, ``dist --at`` and
+``verify`` import it (and ``verify`` its module) when they run, so
+``occurs``, ``correspond``, ``dims``, ``constants`` and ``dist`` without
+``--at`` start without it.
 """
 
 from __future__ import annotations
@@ -15,8 +20,7 @@ import json
 import os
 import re
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .intertwine import (
     DistributionData,
@@ -38,7 +42,9 @@ from .reps import (
     occurs_G_reason,
     occurs_Gprime_reason,
 )
-from .verify import check_suite_names, run_suite
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["main", "build_parser"]
 
@@ -70,6 +76,8 @@ def _mup_from(args, context: str) -> HCParam:
 
 
 def _load_matrix(path: str, pair: DualPair) -> np.ndarray:
+    import numpy as np
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -172,6 +180,8 @@ def _cmd_eval(args) -> tuple[int, dict]:
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
+    from .verify import check_suite_names, run_suite
+
     seed, source = args.seed, "--seed"
     if "HD_SEED" in os.environ:
         source = "HD_SEED"

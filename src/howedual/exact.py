@@ -10,6 +10,7 @@ number of variables (the family P_{a,b,2} is a one-variable MultiPoly).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, fsum, prod
@@ -23,6 +24,7 @@ __all__ = [
     "rising",
     "superfactorial",
     "det",
+    "check_digits",
 ]
 
 Rat = Fraction
@@ -42,6 +44,14 @@ def rising(a, k: int):
 def superfactorial(n: int) -> int:
     """0! 1! ... (n-1)!; the empty product (n = 0) is 1."""
     return prod(map(factorial, range(n)))
+
+
+def check_digits(digits: int, what: str):
+    """Refuse, with ValueError, a number of ``digits`` digits that ``str`` would
+    not print under the interpreter's integer-string limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    if limit and digits > limit:
+        raise ValueError(f"{what} would have {digits} digits, past the print limit of {limit}")
 
 
 def det(rows) -> Fraction:
@@ -380,25 +390,6 @@ class MultiPoly:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def permuted(self, perm) -> "MultiPoly":
-        """Relabel variables: variable i becomes variable perm[i]."""
-        terms = {}
-        for e, c in self.terms.items():
-            f = [0] * self.nvars
-            for i, d in enumerate(e):
-                f[perm[i]] = d
-            terms[tuple(f)] = c
-        return MultiPoly(self.nvars, terms)
-
-    def is_symmetric(self) -> bool:
-        """Invariance under every transposition of adjacent variables."""
-        for i in range(self.nvars - 1):
-            perm = list(range(self.nvars))
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-            if self.permuted(perm) != self:
-                return False
-        return True
 
     def eval_float(self, point) -> float:
         """Value at a point: ``math.fsum`` of the float terms, exactly rounded and

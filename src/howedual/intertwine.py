@@ -22,7 +22,9 @@ once, and the divided differences act on the integer coefficient dict.
 A product or skew sum past MAX_TERMS terms, or a coefficient too long for
 ``str`` to print, raises ValueError before it is expanded.  Q is exact
 data; only its value at a point is floating point, an exactly rounded sum
-of the float terms that does not depend on their order.
+of the float terms that does not depend on their order.  numpy is imported
+inside ``eval_distribution`` and ``eigvalsh_jacobi``, the two functions
+that need it, so importing this module does not load it.
 
 The second member runs the same pipeline on the first l entries of s0 mu'
 with the index pair (a, b) of ``ab_params`` exchanged.
@@ -33,20 +35,19 @@ factorial form and the l x l minor of derivative values at 0), and the
 multiplicity-one identity |T(0)| = 2 * vol(U_l) * dim Pi'.  Distributions
 and values at zero take their prefactors from the part of the chain that
 ``constants`` extends by vol(U_l') and vol(S^h1), so they never build
-0! 1! ... (l'-1)!; ``constants`` refuses a vol(U_l') too long for ``str``.
+0! 1! ... (l'-1)!; ``constants`` refuses a vol(U_l') too long for ``str``,
+sized in O(log l') from the Barnes G expansion of log(0! 1! ... (l'-1)!).
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import exp, factorial, isfinite, lcm, lgamma, log, log10, pi, prod
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .exact import MultiPoly, SymScalar, det, superfactorial
+from .exact import MultiPoly, SymScalar, check_digits, det, superfactorial
 from .pab import pab2
 from .reps import (
     DualPair,
@@ -62,6 +63,9 @@ from .reps import (
     root_product,
     s0_apply,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MultiPoly",
@@ -136,12 +140,6 @@ def _numerators(terms: dict) -> tuple[int, dict]:
 def _check_size(terms: int, what: str):
     if terms > MAX_TERMS:
         raise ValueError(f"{what} would have {terms} terms, past the limit of {MAX_TERMS}")
-
-
-def _check_digits(digits: int, what: str):
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
-    if limit and digits > limit:
-        raise ValueError(f"{what} would have {digits} digits, past the print limit of {limit}")
 
 
 def skew_symmetrize(p: MultiPoly) -> MultiPoly:
@@ -255,17 +253,44 @@ def _chain(pair: DualPair) -> dict[str, SymScalar]:
     }
 
 
+# zeta'(-1), the constant term of the Barnes G expansion
+_ZETA_PRIME_MINUS_1 = -0.16542114370045092
+
+
+def _log_superfactorial(n: int) -> float:
+    """log(0! 1! ... (n-1)!) = log G(n+1) for n >= 1, in O(1).
+
+    The Barnes G expansion z^2/2 log z - 3z^2/4 + z/2 log(2 pi) - log(z)/12
+    + zeta'(-1) - 1/(240 z^2) at z = n; its next term, 1/(1008 z^4), is
+    below 1e-9 from n = 40 on.
+    """
+    z = float(n)
+    lz = log(z)
+    leading = z * z / 2 * lz - 0.75 * z * z + z / 2 * log(2 * pi)
+    return leading - lz / 12 + _ZETA_PRIME_MINUS_1 - 1 / (240 * z * z)
+
+
+def _superfactorial_valuation2(n: int) -> int:
+    """The 2-adic valuation sum_{k<n} (k - popcount k) of 0! 1! ... (n-1)!.
+
+    Bit i is set in 2^i of every 2^(i+1) consecutive integers, so the
+    popcounts are summed bit by bit in O(log n).
+    """
+    ones = sum((n >> (i + 1) << i) + max(0, n % (2 << i) - (1 << i)) for i in range(n.bit_length()))
+    return n * (n - 1) // 2 - ones
+
+
 def constants(pair: DualPair) -> dict[str, SymScalar]:
     """All normalization constants of the pair, as exact symbolic scalars.
 
     The sign of C_2 and the i-power conventions are fixed choices; every
     downstream identity is checked on moduli, where they drop out.  Refuses,
     before building it, a vol(U_l') whose rational, the odd part of
-    1 / prod_{k<l'} k!, is too long for ``str``.
+    1 / prod_{k<l'} k!, is too long for ``str``; sizing it costs O(log l').
     """
     l, lp = pair.l, pair.lp
-    v = sum(k - bin(k).count("1") for k in range(lp))  # 2-adic valuation of prod_{k<l'} k!
-    _check_digits(int(sum(lgamma(k + 1) for k in range(lp)) / log(10) - v * log10(2)) + 1, "vol(U_l')")
+    v = _superfactorial_valuation2(lp)
+    check_digits(int(_log_superfactorial(lp) / log(10) - v * log10(2)) + 1, "vol(U_l')")
     chain = _chain(pair)
     # centralizer of the Cartan slice: 2^(l/2) vol(H) vol(U_{l'-l})
     vol_s_h1 = chain["vol_H"] * vol_unitary(lp - l) * SymScalar(Fraction(1), l)
@@ -312,7 +337,7 @@ def _pipeline(ab, l: int) -> MultiPoly:
     v = sum(b - 1 - bin(b - 1).count("1") for _, b in ab)  # 2-adic valuation of prod_j (b_j - 1)!
     num = max(two - v, 0) * log10(2)
     den = sum(lgamma(b) for _, b in ab) / log(10) - min(two, v) * log10(2)
-    _check_digits(int(max(num, den)) + 1, "a coefficient")
+    check_digits(int(max(num, den)) + 1, "a coefficient")
     return divide_by_vandermonde(skew_symmetrize(_product([pab2(a, b) for a, b in ab], l)))
 
 
@@ -455,6 +480,8 @@ def eigvalsh_jacobi(h) -> np.ndarray:
     raises RuntimeError if the off-diagonal mass does not fall below
     1e-12 (relative) within 100 sweeps.
     """
+    import numpy as np
+
     a = np.array(h, dtype=complex)
     n = a.shape[0]
     if a.shape != (n, n):
@@ -496,6 +523,8 @@ def eval_distribution(data: DistributionData, pair: DualPair, w) -> float:
     |prefactor| * exp(-sum z_j) * poly(z).  Raises ValueError when w w^dagger
     or the value is not finite.
     """
+    import numpy as np
+
     w = np.asarray(w, dtype=complex)
     if w.shape != (pair.l, pair.lp):
         raise ValueError(f"matrix must be {pair.l} x {pair.lp}, got {w.shape}")

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, perm, prod
+from math import factorial, lgamma, log, perm, prod
 
-from .exact import HalfInt, SymScalar, superfactorial
+from .exact import HalfInt, SymScalar, check_digits, superfactorial
 
 __all__ = [
     "DualPair",
@@ -151,9 +151,14 @@ def rho(n: int) -> HCParam:
     return HCParam(HalfInt(n + 1 - 2 * j) for j in range(1, n + 1))
 
 
+def _rho_pp_doubled(pair: DualPair) -> range:
+    """Twice the entries of ``rho_pp``: l'-l-1, l'-l-3, ..., l-l'+1."""
+    return range(pair.lp - pair.l - 1, pair.l - pair.lp, -2)
+
+
 def rho_pp(pair: DualPair) -> tuple[HalfInt, ...]:
     """The rho-string (delta - j) for j = 1..l'-l of the group U_{l'-l}; empty for l = l'."""
-    return tuple(HalfInt(pair.lp - pair.l + 1 - 2 * j) for j in range(1, pair.lp - pair.l + 1))
+    return tuple(map(HalfInt, _rho_pp_doubled(pair)))
 
 
 def is_genuine(hw: HighestWeight, pair: DualPair) -> bool:
@@ -233,7 +238,7 @@ def occurs_Gprime_reason(mup: HCParam, pair: DualPair) -> tuple[bool, str | None
         return False, "parity"
     if any(-m < d for m in head):
         return False, "not-occurring"
-    if tail != rho_pp(pair):
+    if [m.doubled for m in tail] != list(_rho_pp_doubled(pair)):
         return False, "tail"
     return True, None
 
@@ -293,12 +298,21 @@ def dim_piprime(mup: HCParam, pair: DualPair) -> int:
 
     Three factors over the last l slots x = mu'_j: 1 / prod_{j<=l} (l'-j)!,
     the factorial ratios (delta - x - 1)! / (-x - delta)! and the root
-    product.  Agrees with ``dim_weyl``.
+    product.  Agrees with ``dim_weyl``.  Refuses, before building it, a
+    dimension too long for ``str``; its digits are counted from the same
+    three factors in floating point, with ``lgamma`` for each factorial.
     """
     if not occurs_Gprime(mup, pair):
         raise ValueError("parameter does not occur")
-    tail = mup[pair.lp - pair.l :]
-    out = factorial_ratio([-x for x in tail], delta_of(pair)) * root_product(tail)
+    tail, delta = mup[pair.lp - pair.l :], delta_of(pair)
+    xs, d = [-x.doubled / 2 for x in tail], delta.doubled / 2
+    log_dim = (
+        sum(lgamma(x + d) - lgamma(x - d + 1) for x in xs)
+        + sum(log(abs(x - y)) for x, y in combinations(xs, 2))
+        - sum(lgamma(k + 1) for k in range(pair.lp - pair.l, pair.lp))
+    )
+    check_digits(int(log_dim / log(10)) + 1, "dim Pi'")
+    out = factorial_ratio([-x for x in tail], delta) * root_product(tail)
     out /= prod(map(factorial, range(pair.lp - pair.l, pair.lp)))
     if out.denominator != 1:
         raise ValueError("dimension formula did not produce an integer")

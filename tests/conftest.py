@@ -9,6 +9,27 @@ def derivative(p: MultiPoly) -> MultiPoly:
     return MultiPoly(1, {(d - 1,): d * c for (d,), c in p.terms.items() if d})
 
 
+def permuted(p: MultiPoly, perm) -> MultiPoly:
+    """Relabel variables: variable i becomes variable perm[i]."""
+    terms = {}
+    for e, c in p.terms.items():
+        f = [0] * p.nvars
+        for i, d in enumerate(e):
+            f[perm[i]] = d
+        terms[tuple(f)] = c
+    return MultiPoly(p.nvars, terms)
+
+
+def is_symmetric(p: MultiPoly) -> bool:
+    """Invariance under every transposition of adjacent variables."""
+    for i in range(p.nvars - 1):
+        perm = list(range(p.nvars))
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        if permuted(p, perm) != p:
+            return False
+    return True
+
+
 def value_at(p: MultiPoly, x: Fraction) -> Fraction:
     """Exact value of a one-variable polynomial at a rational point."""
     return sum((c * x**d for (d,), c in p.terms.items()), Fraction(0))

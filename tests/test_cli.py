@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -311,10 +312,10 @@ def test_dist_with_unprintable_coefficients_fails_at_once(mu, digits):
     assert proc.stderr == b""
 
 
-def run_to_json(*argv):
+def run_to_json(*argv, timeout=30):
     """Exit code and the one strict-JSON stdout document of a subprocess run
     that writes no traceback."""
-    proc = run_module(*argv)
+    proc = run_module(*argv, timeout=timeout)
     assert b"Traceback" not in proc.stderr
     return proc.returncode, json.loads(proc.stdout, parse_constant=_reject_constant)
 
@@ -335,6 +336,35 @@ def test_constants_past_the_print_limit_fails_at_once(lp, digits):
     limit = sys.get_int_max_str_digits()
     assert code == 1
     assert payload == {"error": f"vol(U_l') would have {digits} digits, past the print limit of {limit}"}
+
+
+def test_constants_at_a_huge_second_rank_is_sized_in_log_time():
+    # vol(U_l') is sized from the Barnes G expansion and bitwise popcounts;
+    # the loop over k < l' it replaced took 6 s at l' = 10^7
+    code, payload = run_to_json("constants", "--l", "1", "--lp", str(10**12), timeout=10)
+    match = re.fullmatch(r"vol\(U_l'\) would have (\d+) digits, past the print limit of \d+", payload["error"])
+    assert code == 1 and match and 5.52e24 < int(match[1]) < 5.53e24
+
+
+def test_correspond_at_the_print_limit_keeps_its_bytes():
+    # sha256 of the stdout that correspond printed before the dimension
+    # guard existed; its dim Pi' = binomial(15332, 9999) has 4300 digits
+    proc = run_module("correspond", "--l", "1", "--lp", "10000", "--mu", "10333")
+    assert proc.returncode == 0 and proc.stderr == b""
+    digest = "58ad8e4455687cd1b32abc8905358537bdd1d3cb048be7cbb4033ee08de80a9d"
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "command, lp, mu, digits",
+    [("correspond", "10000", "10334", 4301), ("dims", "200000", "150000", 54328)],
+)
+def test_dim_piprime_past_the_print_limit_fails_at_once(command, lp, mu, digits):
+    # dim Pi' is refused before it is built; building it took about 6 s at l' = 200000
+    code, payload = run_to_json(command, "--l", "1", "--lp", lp, "--mu", mu, timeout=10)
+    limit = sys.get_int_max_str_digits()
+    assert code == 1
+    assert payload == {"error": f"dim Pi' would have {digits} digits, past the print limit of {limit}"}
 
 
 def test_large_second_rank_costs_what_the_first_rank_does():

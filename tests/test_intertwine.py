@@ -6,13 +6,13 @@ import sys
 import warnings
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, pi
+from math import factorial, isclose, log, pi
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import all_pairs, occurring_params
+from conftest import all_pairs, is_symmetric, occurring_params, permuted
 from howedual import (
     DistributionData,
     DualPair,
@@ -43,7 +43,9 @@ from howedual import (
 from howedual import intertwine
 from howedual.intertwine import (
     _divided_difference,
+    _log_superfactorial,
     _pipeline,
+    _superfactorial_valuation2,
     _value_prefactor,
     eigvalsh_jacobi,
     perm_sign,
@@ -66,7 +68,7 @@ def plain_skew_sum(p):
     terms = {}
     for perm in permutations(range(p.nvars)):
         sign = perm_sign(perm)
-        for e, c in p.permuted(perm).terms.items():
+        for e, c in permuted(p, perm).terms.items():
             terms[e] = terms.get(e, 0) + sign * c
     return MultiPoly(p.nvars, terms)
 
@@ -132,7 +134,7 @@ def test_skew_symmetrize_sign_under_relabeling():
         )
         perm = list(range(nv))
         rng.shuffle(perm)
-        lhs = skew_symmetrize(poly.permuted(perm))
+        lhs = skew_symmetrize(permuted(poly, perm))
         rhs = skew_symmetrize(poly) * perm_sign(tuple(perm))
         assert lhs == rhs
 
@@ -154,7 +156,7 @@ def test_skew_symmetrize_matches_plain_sum():
             assert skew_symmetrize(f) == plain_skew_sum(f)
             if nv > 1:
                 swap = [1, 0] + list(range(2, nv))
-                cancels = f + f.permuted(swap)
+                cancels = f + permuted(f, swap)
                 assert skew_symmetrize(cancels).is_zero() and plain_skew_sum(cancels).is_zero()
             repeated = MultiPoly(nv, {(d,) * nv: c for d, c in enumerate(f.terms.values())})
             assert skew_symmetrize(repeated) == plain_skew_sum(repeated)
@@ -264,10 +266,10 @@ def test_divided_difference_times_linear_factor():
                 z_next = tuple(int(k == i + 1) for k in range(nv))
                 linear = P(nv, {z_i: 1, z_next: -1})
                 on_fractions = _divided_difference(f.terms, i)
-                assert linear * MultiPoly(nv, on_fractions) == f - f.permuted(swap)
+                assert linear * MultiPoly(nv, on_fractions) == f - permuted(f, swap)
                 on_ints = _divided_difference(numerators, i)
                 assert all(type(c) is int and c != 0 for c in on_ints.values())
-                assert linear * MultiPoly(nv, on_ints) == (f - f.permuted(swap)) * 6
+                assert linear * MultiPoly(nv, on_ints) == (f - permuted(f, swap)) * 6
 
 
 def test_divide_times_vandermonde_round_trip():
@@ -292,7 +294,7 @@ def test_divide_times_vandermonde_round_trip():
         quotient = divide_by_vandermonde(skew)
         vdm = signed_vandermonde(nv) * Fraction((-1) ** (nv * (nv - 1) // 2))
         assert quotient * vdm == skew
-        assert quotient.is_symmetric()
+        assert is_symmetric(quotient)
 
 
 def test_vandermonde_derivative_at_zero_reproduces_value():
@@ -343,6 +345,17 @@ def test_constants_frozen():
 
     c23 = constants(DualPair(2, 3))
     assert abs(c23["C_bullet"]) == SymScalar(Fraction(1), 0, 2)  # pi^2
+
+
+def test_superfactorial_sizing_matches_the_product():
+    # log(0! 1! ... (n-1)!) from the Barnes G expansion and its 2-adic
+    # valuation from bitwise popcounts, against the exact integer
+    sf = 1
+    for n in range(1, 300):
+        sf *= factorial(n - 1)  # 0! 1! ... (n-1)!
+        assert _superfactorial_valuation2(n) == (sf & -sf).bit_length() - 1
+        if n >= 40:
+            assert isclose(_log_superfactorial(n), log(sf), rel_tol=1e-12)
 
 
 def test_vol_s_h1():
@@ -446,7 +459,7 @@ def test_distribution_suite_exhaustive():
         for mu in occurring_params(pair):
             dg = distribution_G(mu, pair)
             assert not dg.is_zero()
-            assert dg.poly.is_symmetric()
+            assert is_symmetric(dg.poly)
             mup = correspond(mu, pair)
             dgp = distribution_Gprime(mup, pair)
             assert not dgp.is_zero()

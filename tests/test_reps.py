@@ -1,6 +1,7 @@
 """Occurrence tests, the correspondence, and the dimension formulas."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -145,6 +146,20 @@ def test_dim_piprime_frozen():
     assert dim_piprime(H("0,-1,-2"), DualPair(2, 3)) == 1
     with pytest.raises(ValueError):
         dim_piprime(H("2,0"), DualPair(1, 2))
+
+
+def test_dim_piprime_refuses_exactly_what_str_cannot_print():
+    # at the interpreter's smallest digit limit dim Pi' = binomial(mu + 749, 1499)
+    # outgrows str between these two parameters of (U_1, U_1500)
+    pair = DualPair(1, 1500)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert len(str(dim_piprime(correspond(H("1542"), pair), pair))) == 640
+        with pytest.raises(ValueError, match="dim Pi' would have 641 digits, past the print limit of 640"):
+            dim_piprime(correspond(H("1543"), pair), pair)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_ab_params():
