@@ -11,6 +11,10 @@ Only the numeric subcommands load numpy: ``eval``, ``dist --at`` and
 ``verify`` import it (and ``verify`` its module) when they run, so
 ``occurs``, ``correspond``, ``dims``, ``constants`` and ``dist`` without
 ``--at`` start without it.
+
+A dim Pi' too long for ``str`` to print is refused here, before it is
+built, from its logarithm (``reps.dim_piprime_log``); the library's
+``dim_piprime`` itself always returns the exact integer.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import re
 import sys
 from typing import TYPE_CHECKING
 
+from .exact import check_digits
 from .intertwine import (
     DistributionData,
     constants,
@@ -37,6 +42,7 @@ from .reps import (
     correspond,
     correspond_back,
     dim_piprime,
+    dim_piprime_log,
     dim_weyl,
     hc_param,
     occurs_G_reason,
@@ -91,6 +97,13 @@ def _load_matrix(path: str, pair: DualPair) -> np.ndarray:
     return mat
 
 
+def _dim_piprime(mup: HCParam, pair: DualPair) -> int:
+    """``dim_piprime`` of an occurring parameter, refused before it is built
+    when ``str`` could not print it."""
+    check_digits("dim Pi'", *dim_piprime_log(mup, pair))
+    return dim_piprime(mup, pair)
+
+
 def _emit(payload: dict):
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
@@ -118,14 +131,14 @@ def _cmd_correspond(args) -> tuple[int, dict]:
         return 0, {
             "mu": mu.to_json(),
             "dim_pi": dim_weyl(mu),
-            "dim_pi_prime": dim_piprime(mup, pair),
+            "dim_pi_prime": _dim_piprime(mup, pair),
         }
     mu = _mu_from(args, pair)
     mup = correspond(mu, pair)
     return 0, {
         "mu_prime": mup.to_json(),
         "dim_pi": dim_weyl(mu),
-        "dim_pi_prime": dim_piprime(mup, pair),
+        "dim_pi_prime": _dim_piprime(mup, pair),
     }
 
 
@@ -136,7 +149,7 @@ def _cmd_dims(args) -> tuple[int, dict]:
         payload = {"dim_pi_prime": dim_weyl(mup)}
         ok, _ = occurs_Gprime_reason(mup, pair)
         if ok:
-            payload["dim_pi_prime_formula"] = dim_piprime(mup, pair)
+            payload["dim_pi_prime_formula"] = _dim_piprime(mup, pair)
             payload["dim_pi"] = dim_weyl(correspond_back(mup, pair))
         return 0, payload
     mu = _mu_from(args, pair)
@@ -145,7 +158,7 @@ def _cmd_dims(args) -> tuple[int, dict]:
     if ok:
         mup = correspond(mu, pair)
         payload["mu_prime"] = mup.to_json()
-        payload["dim_pi_prime"] = dim_piprime(mup, pair)
+        payload["dim_pi_prime"] = _dim_piprime(mup, pair)
     return 0, payload
 
 

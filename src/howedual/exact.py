@@ -6,6 +6,10 @@ multiplied without any rounding.  Rationals themselves are plain
 ``fractions.Fraction`` values (re-exported as ``Rat``).  ``MultiPoly`` is
 the one exact polynomial type: sparse, with Fraction coefficients, in any
 number of variables (the family P_{a,b,2} is a one-variable MultiPoly).
+
+The module also sizes exact numbers before they are built: logs of
+factorial products taken from exact integers, and ``check_digits``, the
+one refusal of a number too long for ``str``.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, fsum, prod
+from math import factorial, fsum, inf, isfinite, lgamma, log, log1p, perm, pi, prod
 
 __all__ = [
     "Rat",
@@ -24,6 +28,10 @@ __all__ = [
     "rising",
     "superfactorial",
     "det",
+    "log_factorial",
+    "log_falling",
+    "log_superfactorial",
+    "superfactorial_valuation2",
     "check_digits",
 ]
 
@@ -46,11 +54,90 @@ def superfactorial(n: int) -> int:
     return prod(map(factorial, range(n)))
 
 
-def check_digits(digits: int, what: str):
-    """Refuse, with ValueError, a number of ``digits`` digits that ``str`` would
-    not print under the interpreter's integer-string limit."""
+# ---------------------------------------------------------------------------
+# Sizing: the natural log of an exact number, to refuse it before it is built
+# ---------------------------------------------------------------------------
+
+
+def log_factorial(n: int) -> float:
+    """log n!, to a few ulps; inf past the float range."""
+    try:
+        return lgamma(n + 1)
+    except OverflowError:
+        return inf
+
+
+def _stirling_tail(z: int) -> float:
+    # log z! - (z + 1/2) log z + z - log(2 pi)/2, to 1e-16 from z = 64 on
+    return 1 / (12 * z) - 1 / (360 * z**3) + 1 / (1260 * z**5)
+
+
+def log_falling(n: int, k: int) -> float:
+    """log(n (n-1) ... (n-k+1)) = log(n! / (n-k)!) for ints 0 <= k <= n.
+
+    Not the difference of two lgammas, which loses about n log(n) ulps
+    when k is small against n: a product of at most 64 factors is taken
+    exactly (``math.log`` takes an int of any size), and a longer one from
+    the Stirling series of both factorials, with log(n / (n-k)) taken as
+    log1p(k / (n-k)) so that their large leading terms cancel exactly.
+    """
+    m = n - k
+    if k <= 64:
+        return log(perm(n, k))
+    if m < 64:
+        return log_factorial(n) - lgamma(m + 1)
+    if m >> 53 > k:  # every factor is n to within an ulp
+        return k * log(n)
+    return (m + 0.5) * log1p(k / m) + k * (log(n) - 1) + _stirling_tail(n) - _stirling_tail(m)
+
+
+# zeta'(-1), the constant term of the Barnes G expansion
+_ZETA_PRIME_MINUS_1 = -0.16542114370045092
+
+
+def log_superfactorial(n: int) -> float:
+    """log(0! 1! ... (n-1)!) = log G(n+1), in O(1); inf past the float range.
+
+    Exact below n = 64; above, the Barnes G expansion z^2 (log z / 2 - 3/4)
+    + z/2 log(2 pi) - log(z)/12 + zeta'(-1) - 1/(240 z^2) at z = n, whose
+    next term, 1/(1008 z^4), is below 1e-10.
+    """
+    if n < 64:
+        return log(superfactorial(n))
+    try:
+        z = float(n)
+    except OverflowError:
+        return inf
+    lz = log(z)
+    return z * z * (lz / 2 - 0.75) + z / 2 * log(2 * pi) - lz / 12 + _ZETA_PRIME_MINUS_1 - 1 / (240 * z * z)
+
+
+def superfactorial_valuation2(n: int) -> int:
+    """The 2-adic valuation sum_{k<n} (k - popcount k) of 0! 1! ... (n-1)!.
+
+    Bit i is set in 2^i of every 2^(i+1) consecutive integers, so the
+    popcounts are summed bit by bit in O(log n).
+    """
+    ones = sum((n >> (i + 1) << i) + max(0, n % (2 << i) - (1 << i)) for i in range(n.bit_length()))
+    return n * (n - 1) // 2 - ones
+
+
+def check_digits(what: str, log_size: float, scale: float = 0.0):
+    """Refuse, with ValueError, a number of natural log ``log_size`` that
+    ``str`` would not print under the interpreter's integer-string limit.
+
+    ``log_size`` is a float sum, off by a few ulps of ``scale``, the sum of
+    the magnitudes of its terms (``|log_size|`` when that is larger).  Only
+    a number past the limit by more than 1e-12 of the scale plus 1e-9 (in
+    log10) is refused, so one nearer the limit is built and ``str`` has the
+    last word.  The count in the message is floor(log10) + 1, which can be
+    one off for a number within that error of a power of ten.
+    """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
-    if limit and digits > limit:
+    log10_size = log_size / log(10)
+    error = 1e-9 + 1e-12 * max(scale, abs(log_size)) / log(10)
+    if limit and log10_size >= limit + error:  # inf >= inf refuses a size past the float range
+        digits = int(log10_size) + 1 if isfinite(log10_size) else "more than 10^307"
         raise ValueError(f"{what} would have {digits} digits, past the print limit of {limit}")
 
 
@@ -268,13 +355,9 @@ class SymScalar:
     def to_float(self) -> float:
         if self.i_pow != 0:
             raise ValueError("scalar is not real")
-        from math import pi
-
         return float(self.rat) * 2.0 ** (self.sqrt2_pow / 2.0) * pi**self.pi_pow
 
     def to_complex(self) -> complex:
-        from math import pi
-
         mag = float(self.rat) * 2.0 ** (self.sqrt2_pow / 2.0) * pi**self.pi_pow
         return mag * (1j**self.i_pow)
 

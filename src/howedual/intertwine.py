@@ -44,10 +44,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import exp, factorial, isfinite, lcm, lgamma, log, log10, pi, prod
+from math import exp, factorial, fsum, isfinite, lcm, log, pi, prod
 from typing import TYPE_CHECKING
 
-from .exact import MultiPoly, SymScalar, check_digits, det, superfactorial
+from .exact import (
+    MultiPoly,
+    SymScalar,
+    check_digits,
+    det,
+    log_factorial,
+    log_superfactorial,
+    superfactorial,
+    superfactorial_valuation2,
+)
 from .pab import pab2
 from .reps import (
     DualPair,
@@ -253,33 +262,6 @@ def _chain(pair: DualPair) -> dict[str, SymScalar]:
     }
 
 
-# zeta'(-1), the constant term of the Barnes G expansion
-_ZETA_PRIME_MINUS_1 = -0.16542114370045092
-
-
-def _log_superfactorial(n: int) -> float:
-    """log(0! 1! ... (n-1)!) = log G(n+1) for n >= 1, in O(1).
-
-    The Barnes G expansion z^2/2 log z - 3z^2/4 + z/2 log(2 pi) - log(z)/12
-    + zeta'(-1) - 1/(240 z^2) at z = n; its next term, 1/(1008 z^4), is
-    below 1e-9 from n = 40 on.
-    """
-    z = float(n)
-    lz = log(z)
-    leading = z * z / 2 * lz - 0.75 * z * z + z / 2 * log(2 * pi)
-    return leading - lz / 12 + _ZETA_PRIME_MINUS_1 - 1 / (240 * z * z)
-
-
-def _superfactorial_valuation2(n: int) -> int:
-    """The 2-adic valuation sum_{k<n} (k - popcount k) of 0! 1! ... (n-1)!.
-
-    Bit i is set in 2^i of every 2^(i+1) consecutive integers, so the
-    popcounts are summed bit by bit in O(log n).
-    """
-    ones = sum((n >> (i + 1) << i) + max(0, n % (2 << i) - (1 << i)) for i in range(n.bit_length()))
-    return n * (n - 1) // 2 - ones
-
-
 def constants(pair: DualPair) -> dict[str, SymScalar]:
     """All normalization constants of the pair, as exact symbolic scalars.
 
@@ -289,8 +271,10 @@ def constants(pair: DualPair) -> dict[str, SymScalar]:
     1 / prod_{k<l'} k!, is too long for ``str``; sizing it costs O(log l').
     """
     l, lp = pair.l, pair.lp
-    v = _superfactorial_valuation2(lp)
-    check_digits(int(_log_superfactorial(lp) / log(10) - v * log10(2)) + 1, "vol(U_l')")
+    log_size = log_superfactorial(lp)
+    if isfinite(log_size):  # an inf size stays inf; its valuation would overflow a float
+        log_size -= superfactorial_valuation2(lp) * log(2)
+    check_digits("vol(U_l')", log_size)
     chain = _chain(pair)
     # centralizer of the Cartan slice: 2^(l/2) vol(H) vol(U_{l'-l})
     vol_s_h1 = chain["vol_H"] * vol_unitary(lp - l) * SymScalar(Fraction(1), l)
@@ -335,9 +319,9 @@ def _pipeline(ab, l: int) -> MultiPoly:
     _check_size(prod(b for _, b in ab), "the product")
     two = -sum(a for a, _ in ab)  # the top coefficient is 2^two / prod_j (b_j - 1)!
     v = sum(b - 1 - bin(b - 1).count("1") for _, b in ab)  # 2-adic valuation of prod_j (b_j - 1)!
-    num = max(two - v, 0) * log10(2)
-    den = sum(lgamma(b) for _, b in ab) / log(10) - min(two, v) * log10(2)
-    check_digits(int(max(num, den)) + 1, "a coefficient")
+    log_num = max(two - v, 0) * log(2)
+    log_den = fsum(log_factorial(b - 1) for _, b in ab) - min(two, v) * log(2)
+    check_digits("a coefficient", max(log_num, log_den))
     return divide_by_vandermonde(skew_symmetrize(_product([pab2(a, b) for a, b in ab], l)))
 
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, lgamma, log, perm, prod
+from math import factorial, fsum, log, perm, prod
 
-from .exact import HalfInt, SymScalar, check_digits, superfactorial
+from .exact import HalfInt, SymScalar, log_factorial, log_falling, superfactorial
 
 __all__ = [
     "DualPair",
@@ -36,6 +36,7 @@ __all__ = [
     "correspond_back",
     "dim_weyl",
     "dim_piprime",
+    "dim_piprime_log",
     "root_product",
     "factorial_ratio",
     "ab_params",
@@ -298,25 +299,33 @@ def dim_piprime(mup: HCParam, pair: DualPair) -> int:
 
     Three factors over the last l slots x = mu'_j: 1 / prod_{j<=l} (l'-j)!,
     the factorial ratios (delta - x - 1)! / (-x - delta)! and the root
-    product.  Agrees with ``dim_weyl``.  Refuses, before building it, a
-    dimension too long for ``str``; its digits are counted from the same
-    three factors in floating point, with ``lgamma`` for each factorial.
+    product.  Agrees with ``dim_weyl``.
     """
     if not occurs_Gprime(mup, pair):
         raise ValueError("parameter does not occur")
-    tail, delta = mup[pair.lp - pair.l :], delta_of(pair)
-    xs, d = [-x.doubled / 2 for x in tail], delta.doubled / 2
-    log_dim = (
-        sum(lgamma(x + d) - lgamma(x - d + 1) for x in xs)
-        + sum(log(abs(x - y)) for x, y in combinations(xs, 2))
-        - sum(lgamma(k + 1) for k in range(pair.lp - pair.l, pair.lp))
-    )
-    check_digits(int(log_dim / log(10)) + 1, "dim Pi'")
-    out = factorial_ratio([-x for x in tail], delta) * root_product(tail)
+    tail = mup[pair.lp - pair.l :]
+    out = factorial_ratio([-x for x in tail], delta_of(pair)) * root_product(tail)
     out /= prod(map(factorial, range(pair.lp - pair.l, pair.lp)))
     if out.denominator != 1:
         raise ValueError("dimension formula did not produce an integer")
     return int(out)
+
+
+def dim_piprime_log(mup: HCParam, pair: DualPair) -> tuple[float, float]:
+    """log dim Pi' of an occurring parameter, and the sum of the magnitudes
+    of the terms it is summed from (its float error is a few ulps of that).
+
+    The three factors of ``dim_piprime`` in logs, each term from exact
+    integers: ``log_falling`` for each factorial ratio, log|2x - 2y| - log 2
+    for each root difference and ``log_factorial`` for each (l'-j)!.  So an
+    entry of any size is taken without overflow or cancellation, in
+    O(l^2) float operations.
+    """
+    tail, d2 = mup[pair.lp - pair.l :], delta_of(pair).doubled
+    ratios = fsum(log_falling((d2 - x.doubled) // 2 - 1, d2 - 1) for x in tail)
+    roots = [log(abs(x.doubled - y.doubled)) - log(2) for x, y in combinations(tail, 2)]
+    facts = fsum(map(log_factorial, range(pair.lp - pair.l, pair.lp)))
+    return ratios + fsum(roots) - facts, ratios + fsum(map(abs, roots)) + facts
 
 
 def ab_params(mu: HCParam, pair: DualPair) -> tuple[tuple[int, int], ...]:

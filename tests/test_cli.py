@@ -367,6 +367,49 @@ def test_dim_piprime_past_the_print_limit_fails_at_once(command, lp, mu, digits)
     assert payload == {"error": f"dim Pi' would have {digits} digits, past the print limit of {limit}"}
 
 
+def test_dim_piprime_guard_refuses_exactly_what_str_cannot_print(capsys):
+    # at the interpreter's smallest digit limit dim Pi' = binomial(mu + 749, 1499)
+    # outgrows str between these two parameters of (U_1, U_1500)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, payload = run_cli(capsys, "correspond", "--l", "1", "--lp", "1500", "--mu", "1542")
+        assert code == 0 and len(str(payload["dim_pi_prime"])) == 640
+        code, payload = run_cli(capsys, "dims", "--l", "1", "--lp", "1500", "--mu", "1543")
+        assert code == 1
+        assert payload == {"error": "dim Pi' would have 641 digits, past the print limit of 640"}
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("command", ["correspond", "dims"])
+@pytest.mark.parametrize(
+    "l, lp, mu, mu_prime, dim",
+    [
+        # adjacent entries past 2^53, equal as floats
+        ("2", "3", "100000000000000001,100000000000000000",
+         ["0", "-100000000000000000", "-100000000000000001"], 5000000000000000050000000000000000),
+        # an entry past the float range
+        ("1", "2", str(10**400), ["0", str(-(10**400))], 10**400),
+    ],
+)
+def test_dim_piprime_at_huge_entries_keeps_its_bytes(capsys, command, l, lp, mu, mu_prime, dim):
+    # these printed before the guard existed, and the guard sizes them from
+    # exact-integer logs: the same stdout, byte for byte
+    assert main([command, "--l", l, "--lp", lp, "--mu", mu]) == 0
+    expected = {"dim_pi": 1, "dim_pi_prime": dim, "mu_prime": mu_prime}
+    assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("lp", [10**160, 2**1100])
+def test_constants_past_the_float_range_fails_at_once(lp):
+    # log(0! 1! ... (l'-1)!) overflows a float here: a refusal, not NaN or a traceback
+    code, payload = run_to_json("constants", "--l", "1", "--lp", str(lp), timeout=10)
+    limit = sys.get_int_max_str_digits()
+    assert code == 1
+    assert payload == {"error": f"vol(U_l') would have more than 10^307 digits, past the print limit of {limit}"}
+
+
 def test_large_second_rank_costs_what_the_first_rank_does():
     # these build no factorial past l' - 1 and no superfactorial of l'
     code, payload = run_to_json("dims", "--l", "1", "--lp", "3000", "--mu", "1500")

@@ -1,14 +1,22 @@
 """Half-integer and symbolic-scalar arithmetic."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import permutations
-from math import pi
+from math import inf, isclose, log, perm, pi
 
 import pytest
 
 from howedual import HalfInt, SymScalar, det, factorial, rising
-from howedual.exact import _odd_part, superfactorial
+from howedual.exact import (
+    _odd_part,
+    check_digits,
+    log_falling,
+    log_superfactorial,
+    superfactorial,
+    superfactorial_valuation2,
+)
 from howedual.intertwine import perm_sign
 
 
@@ -35,6 +43,39 @@ def test_superfactorial():
     assert [superfactorial(n) for n in range(7)] == [1, 1, 1, 2, 12, 288, 34560]
     for n in range(1, 10):
         assert superfactorial(n + 1) == superfactorial(n) * factorial(n)
+
+
+def test_superfactorial_sizing_matches_the_product():
+    # log(0! 1! ... (n-1)!) from the Barnes G expansion and its 2-adic
+    # valuation from bitwise popcounts, against the exact integer
+    sf = 1
+    for n in range(1, 300):
+        sf *= factorial(n - 1)  # 0! 1! ... (n-1)!
+        assert superfactorial_valuation2(n) == (sf & -sf).bit_length() - 1
+        assert isclose(log_superfactorial(n), log(sf), rel_tol=1e-13)
+    # past the float range the log is inf, not NaN or OverflowError
+    assert log_superfactorial(10**160) == log_superfactorial(2**1100) == inf
+
+
+def test_log_falling_matches_the_exact_product():
+    # short products, long ones, and n far past 2^53 and the float range,
+    # where the difference of two lgammas loses every digit or overflows
+    rng = random.Random(5)
+    cases = [(n, k) for n in (64, 65, 130, 1000, 20000) for k in (0, 1, 63, 64, 65, n - 64, n - 1, n) if k <= n]
+    cases += [(10**15 + 7, 1), (10**15 + 7, 200), (2**70, 3000), (10**400, 2), (10**400, 70)]
+    cases += [(n, rng.randrange(n + 1)) for n in (rng.randrange(1, 5000) for _ in range(300))]
+    for n, k in cases:
+        assert isclose(log_falling(n, k), log(perm(n, k)), rel_tol=1e-14, abs_tol=1e-14), (n, k)
+
+
+def test_check_digits_refuses_only_what_is_past_the_limit():
+    limit = sys.get_int_max_str_digits()
+    check_digits("x", (limit - 0.5) * log(10))
+    check_digits("x", (limit + 1e-9) * log(10))  # within the float error of the limit: left to str
+    with pytest.raises(ValueError, match=f"x would have {limit + 1} digits, past the print limit of {limit}"):
+        check_digits("x", (limit + 0.5) * log(10))
+    with pytest.raises(ValueError, match="x would have more than 10\\^307 digits"):
+        check_digits("x", inf)
 
 
 def test_rising_on_fractions():

@@ -43,9 +43,7 @@ from howedual import (
 from howedual import intertwine
 from howedual.intertwine import (
     _divided_difference,
-    _log_superfactorial,
     _pipeline,
-    _superfactorial_valuation2,
     _value_prefactor,
     eigvalsh_jacobi,
     perm_sign,
@@ -345,17 +343,6 @@ def test_constants_frozen():
 
     c23 = constants(DualPair(2, 3))
     assert abs(c23["C_bullet"]) == SymScalar(Fraction(1), 0, 2)  # pi^2
-
-
-def test_superfactorial_sizing_matches_the_product():
-    # log(0! 1! ... (n-1)!) from the Barnes G expansion and its 2-adic
-    # valuation from bitwise popcounts, against the exact integer
-    sf = 1
-    for n in range(1, 300):
-        sf *= factorial(n - 1)  # 0! 1! ... (n-1)!
-        assert _superfactorial_valuation2(n) == (sf & -sf).bit_length() - 1
-        if n >= 40:
-            assert isclose(_log_superfactorial(n), log(sf), rel_tol=1e-12)
 
 
 def test_vol_s_h1():

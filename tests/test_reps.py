@@ -4,7 +4,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import comb, factorial, log
 
 import pytest
 
@@ -30,7 +30,7 @@ from howedual import (
     rho_pp,
     s0_apply,
 )
-from howedual.reps import occurs_G_reason, occurs_Gprime_reason
+from howedual.reps import dim_piprime_log, occurs_G_reason, occurs_Gprime_reason
 
 
 def H(text):
@@ -148,18 +148,35 @@ def test_dim_piprime_frozen():
         dim_piprime(H("2,0"), DualPair(1, 2))
 
 
-def test_dim_piprime_refuses_exactly_what_str_cannot_print():
-    # at the interpreter's smallest digit limit dim Pi' = binomial(mu + 749, 1499)
-    # outgrows str between these two parameters of (U_1, U_1500)
+def test_dim_piprime_is_exact_past_the_print_limit():
+    # the library returns the integer; only the CLI refuses to print it.
+    # At (U_1, U_1500) dim Pi' = binomial(mu + 749, 1499) passes 640 digits here
     pair = DualPair(1, 1500)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        assert len(str(dim_piprime(correspond(H("1542"), pair), pair))) == 640
-        with pytest.raises(ValueError, match="dim Pi' would have 641 digits, past the print limit of 640"):
-            dim_piprime(correspond(H("1543"), pair), pair)
+        dim = dim_piprime(correspond(H("1543"), pair), pair)
     finally:
         sys.set_int_max_str_digits(limit)
+    assert dim == comb(1543 + 749, 1499) and 10**640 <= dim < 10**641
+
+
+def test_dim_piprime_log_matches_the_exact_dimension():
+    # every small pair, adjacent entries past 2^53 (whose float differences
+    # vanish), an entry past the float range, and long factorial ratios
+    cases = [(pair, mu) for pair in all_pairs() for mu in occurring_params(pair)]
+    cases += [
+        (DualPair(2, 3), H("100000000000000001,100000000000000000")),
+        (DualPair(1, 2), H(str(10**400))),
+        (DualPair(1, 3), H(f"{2 * 10**400 + 1}/2")),
+        (DualPair(3, 40), H("1000000000000000018,1000000000000000017,20")),
+        (DualPair(2, 300), H("4001/2,301/2")),
+        (DualPair(1, 1500), H("1543")),
+    ]
+    for pair, mu in cases:
+        mup = correspond(mu, pair)
+        log_dim, scale = dim_piprime_log(mup, pair)
+        assert abs(log_dim - log(dim_piprime(mup, pair))) <= 1e-14 * scale + 1e-14, (pair, mu)
 
 
 def test_ab_params():
