@@ -125,21 +125,14 @@ def _cmd_occurs(args) -> tuple[int, dict]:
 
 def _cmd_correspond(args) -> tuple[int, dict]:
     pair = DualPair(args.l, args.lp)
+    # a dict display evaluates in order: dim Pi' is refused before any parameter is serialized
     if args.back:
         mup = _mup_from(args, "with --back")
         mu = correspond_back(mup, pair)
-        return 0, {
-            "mu": mu.to_json(),
-            "dim_pi": dim_weyl(mu),
-            "dim_pi_prime": _dim_piprime(mup, pair),
-        }
+        return 0, {"dim_pi_prime": _dim_piprime(mup, pair), "mu": mu.to_json(), "dim_pi": dim_weyl(mu)}
     mu = _mu_from(args, pair)
     mup = correspond(mu, pair)
-    return 0, {
-        "mu_prime": mup.to_json(),
-        "dim_pi": dim_weyl(mu),
-        "dim_pi_prime": _dim_piprime(mup, pair),
-    }
+    return 0, {"dim_pi_prime": _dim_piprime(mup, pair), "mu_prime": mup.to_json(), "dim_pi": dim_weyl(mu)}
 
 
 def _cmd_dims(args) -> tuple[int, dict]:
@@ -157,8 +150,8 @@ def _cmd_dims(args) -> tuple[int, dict]:
     ok, _ = occurs_G_reason(mu, pair)
     if ok:
         mup = correspond(mu, pair)
+        payload["dim_pi_prime"] = _dim_piprime(mup, pair)  # refused before mu' is serialized
         payload["mu_prime"] = mup.to_json()
-        payload["dim_pi_prime"] = _dim_piprime(mup, pair)
     return 0, payload
 
 

@@ -4,8 +4,10 @@ Every normalization constant handled by this library is a rational multiple
 of 2^(h/2) * pi^q * i^r with integer h, q, r, so it can be stored and
 multiplied without any rounding.  Rationals themselves are plain
 ``fractions.Fraction`` values (re-exported as ``Rat``).  ``MultiPoly`` is
-the one exact polynomial type: sparse, with Fraction coefficients, in any
-number of variables (the family P_{a,b,2} is a one-variable MultiPoly).
+the one exact polynomial type: sparse, in any number of variables, stored
+as integer numerators over one denominator in lowest terms (the family
+P_{a,b,2} is a one-variable MultiPoly).  Its Fraction coefficients and
+its float form are views built on first use.
 
 The module also sizes exact numbers before they are built: logs of
 factorial products taken from exact integers, and ``check_digits``, the
@@ -15,9 +17,12 @@ one refusal of a number too long for ``str``.
 from __future__ import annotations
 
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, fsum, inf, isfinite, lgamma, log, log1p, perm, pi, prod
+from math import factorial, fsum, gcd, inf, isfinite, lcm, lgamma, log, log1p, perm, pi, prod
+from operator import add, mul
+from types import MappingProxyType
 
 __all__ = [
     "Rat",
@@ -396,19 +401,33 @@ class SymScalar:
 class MultiPoly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    Terms map exponent tuples (one slot per variable) to nonzero Fractions.
+    Stored as one positive denominator ``den`` and a dict ``nums`` from
+    exponent tuples (one slot per variable) to nonzero int numerators, in
+    lowest terms: gcd(den, every numerator) = 1.  So the coefficient of e
+    is nums[e] / den, and ``==`` and ``hash`` compare integers.  ``terms``,
+    the dict of Fraction coefficients, is a read-only view built on first
+    read and cached; so is the float form ``eval_float`` runs on.  Both
+    caches are safe because a MultiPoly is never mutated.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "den", "nums", "_terms", "_floats")
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
-        clean: dict[tuple[int, ...], Fraction] = {}
+        coeffs = {}
         for e, c in (terms or {}).items():
             c = Fraction(c)
-            if c != 0:
-                clean[tuple(e)] = c
-        self.terms = clean
+            if c:
+                coeffs[tuple(e)] = c
+        # the lcm of reduced denominators leaves every prime of den out of some numerator
+        den = lcm(*{c.denominator for c in coeffs.values()})
+        self._set(den, {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()})
+
+    def _set(self, den: int, nums: dict):
+        self.den = den
+        self.nums = nums
+        self._terms = None
+        self._floats = None
 
     # -- constructors -------------------------------------------------------
 
@@ -417,28 +436,47 @@ class MultiPoly:
         return cls(nvars)
 
     @classmethod
-    def _wrap(cls, nvars: int, terms: dict) -> "MultiPoly":
-        """Adopt a dict of nonzero Fractions without the copying pass of __init__."""
+    def from_numerators(cls, nvars: int, den: int, nums: dict) -> "MultiPoly":
+        """The polynomial sum_e nums[e] / den z^e, adopting ``nums``: its int
+        values must be nonzero and den positive.  Brought to lowest terms
+        by one gcd."""
+        g = gcd(den, *nums.values())
+        if g > 1:
+            den //= g
+            nums = {e: n // g for e, n in nums.items()}
+        return cls._wrap(nvars, den, nums)
+
+    @classmethod
+    def _wrap(cls, nvars: int, den: int, nums: dict) -> "MultiPoly":
+        """Adopt numerators already in lowest terms, without the gcd pass."""
         out = cls.__new__(cls)
         out.nvars = nvars
-        out.terms = terms
+        out._set(den, nums)
         return out
 
     # -- structure ----------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], Fraction]:
+        """Read-only {exponent: nonzero Fraction}, in the order of ``nums``."""
+        if self._terms is None:
+            den = self.den
+            self._terms = MappingProxyType({e: Fraction(n, den) for e, n in self.nums.items()})
+        return self._terms
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
-            return self.nvars == other.nvars and self.terms == other.terms
+            return self.nvars == other.nvars and self.den == other.den and self.nums == other.nums
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.nums.items())))
 
     def coefficient(self, e) -> Fraction:
-        return self.terms.get(tuple(e), Fraction(0))
+        return Fraction(self.nums.get(tuple(e), 0), self.den)
 
     # -- algebra ------------------------------------------------------------
 
@@ -448,13 +486,15 @@ class MultiPoly:
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return MultiPoly(self.nvars, terms)
+        den = lcm(self.den, other.den)
+        ms, mo = den // self.den, den // other.den
+        nums = {e: n * ms for e, n in self.nums.items()}
+        for e, n in other.nums.items():
+            nums[e] = nums.get(e, 0) + n * mo
+        return MultiPoly.from_numerators(self.nvars, den, {e: n for e, n in nums.items() if n})
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._wrap(self.nvars, self.den, {e: -n for e, n in self.nums.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -462,28 +502,51 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             self._check(other)
-            terms: dict[tuple[int, ...], Fraction] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-            return MultiPoly(self.nvars, terms)
+            nums: dict[tuple[int, ...], int] = {}
+            for e1, n1 in self.nums.items():
+                for e2, n2 in other.nums.items():
+                    e = tuple(map(add, e1, e2))
+                    nums[e] = nums.get(e, 0) + n1 * n2
+            den = self.den * other.den
+            return MultiPoly.from_numerators(self.nvars, den, {e: n for e, n in nums.items() if n})
         if isinstance(other, (int, Fraction)):
-            return MultiPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
+            if not other:
+                return MultiPoly(self.nvars)
+            f = Fraction(other)
+            num = f.numerator
+            return MultiPoly.from_numerators(
+                self.nvars, self.den * f.denominator, {e: n * num for e, n in self.nums.items()}
+            )
         return NotImplemented
 
     __rmul__ = __mul__
 
+    def _float_form(self):
+        """(float coefficients, one exponent column per variable, the largest
+        exponent of each column), built on first use.  n / den is the
+        correctly rounded quotient, the float of the Fraction; it raises
+        OverflowError past the float range, and nothing is cached then."""
+        if self._floats is None:
+            den = self.den
+            coeffs = [n / den for n in self.nums.values()]
+            columns = list(zip(*self.nums))
+            self._floats = (coeffs, columns, list(map(max, columns)))
+        return self._floats
+
     def eval_float(self, point) -> float:
         """Value at a point: ``math.fsum`` of the float terms, exactly rounded and
-        so independent of term order; OverflowError or ValueError on overflow."""
+        so independent of term order; OverflowError or ValueError on overflow.
+
+        Each term is its float coefficient times z_1^e_1, ..., z_l^e_l, in that
+        order, with each power v**d read from a table of one variable's
+        powers; the float form is cached on first use.
+        """
         z = [float(v) for v in point]
-        terms = []
-        for e, c in self.terms.items():
-            term = float(c)
-            for v, d in zip(z, e):
-                term *= v**d
-            terms.append(term)
+        coeffs, columns, tops = self._float_form()
+        terms = coeffs
+        for v, col, top in zip(z, columns, tops):
+            powers = [v**d for d in range(top + 1)]
+            terms = list(map(mul, terms, map(powers.__getitem__, col)))
         return fsum(terms)
 
     # -- presentation -------------------------------------------------------

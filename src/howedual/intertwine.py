@@ -14,17 +14,20 @@ product) live in the SymScalar prefactor, so the polynomial side stays
 rational.
 
 Every polynomial here, the one-variable factors P_{a,b,2} from ``pab``
-included, is an ``exact.MultiPoly`` (re-exported from this module).  The
-product, the skew sum and the division clear denominators once and run on
-integer numerators: the skew sum collects each term on the strictly
-decreasing representative of its orbit and expands every representative
-once, and the divided differences act on the integer coefficient dict.
-A product or skew sum past MAX_TERMS terms, or a coefficient too long for
-``str`` to print, raises ValueError before it is expanded.  Q is exact
-data; only its value at a point is floating point, an exactly rounded sum
-of the float terms that does not depend on their order.  numpy is imported
-inside ``eval_distribution`` and ``eigvalsh_jacobi``, the two functions
-that need it, so importing this module does not load it.
+included, is an ``exact.MultiPoly`` (re-exported from this module): integer
+numerators over one denominator.  The product, the skew sum and the
+division read and write those numerators and never build a Fraction: the
+product's denominator is the product of the factors' denominators, the
+skew sum collects each term on the strictly decreasing representative of
+its orbit and expands every representative once, and the divided
+differences act on the integer coefficient dict.  A product or skew sum
+past MAX_TERMS terms, or a coefficient too long for ``str`` to print,
+raises ValueError before it is expanded.  Q is exact data; only its value
+at a point is floating point, an exactly rounded sum of the float terms
+that does not depend on their order, taken from the float form that the
+polynomial builds once.  numpy is imported inside ``eval_distribution``
+and ``eigvalsh_jacobi``, the two functions that need it, so importing this
+module does not load it.
 
 The second member runs the same pipeline on the first l entries of s0 mu'
 with the index pair (a, b) of ``ab_params`` exchanged.
@@ -34,17 +37,22 @@ vol(U_n), the two independent value-at-zero computations (the closed
 factorial form and the l x l minor of derivative values at 0), and the
 multiplicity-one identity |T(0)| = 2 * vol(U_l) * dim Pi'.  Distributions
 and values at zero take their prefactors from the part of the chain that
-``constants`` extends by vol(U_l') and vol(S^h1), so they never build
-0! 1! ... (l'-1)!; ``constants`` refuses a vol(U_l') too long for ``str``,
-sized in O(log l') from the Barnes G expansion of log(0! 1! ... (l'-1)!).
+``constants`` extends by vol(U_l') and vol(S^h1), memoized per pair, so
+they never build 0! 1! ... (l'-1)!; ``constants`` refuses a vol(U_l') too
+long for ``str``, sized in O(log l') from the Barnes G expansion of
+log(0! 1! ... (l'-1)!).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import permutations
-from math import exp, factorial, fsum, isfinite, lcm, log, pi, prod
+from math import exp, factorial, fsum, gcd, isfinite, log, pi, prod
+from operator import gt, itemgetter, ne
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from .exact import (
@@ -126,13 +134,12 @@ def perm_sign(perm) -> int:
 
 def _product(factors: list[MultiPoly], l: int) -> MultiPoly:
     """prod_j factors[j](z_j) of one-variable factors in l variables, multiplied
-    out on integer numerators."""
-    den, terms = 1, {(): 1}
+    out on integer numerators over the product of their denominators."""
+    den, nums = 1, {(): 1}
     for p in factors:
-        d, num = _numerators(p.terms)
-        den *= d
-        terms = {e + k: n * m for e, n in terms.items() for k, m in num.items()}
-    return MultiPoly._wrap(l, {e: Fraction(n, den) for e, n in terms.items()})
+        den *= p.den
+        nums = {e + k: n * m for e, n in nums.items() for k, m in p.nums.items()}
+    return MultiPoly.from_numerators(l, den, nums)
 
 
 def p_mu_product(mu: HCParam, pair: DualPair) -> MultiPoly:
@@ -140,15 +147,19 @@ def p_mu_product(mu: HCParam, pair: DualPair) -> MultiPoly:
     return _product([pab2(a, b) for a, b in ab_params(mu, pair)], pair.l)
 
 
-def _numerators(terms: dict) -> tuple[int, dict]:
-    """(den, {e: c * den}) with den the lcm of the coefficient denominators."""
-    den = lcm(*{c.denominator for c in terms.values()})
-    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
-
-
 def _check_size(terms: int, what: str):
     if terms > MAX_TERMS:
         raise ValueError(f"{what} would have {terms} terms, past the limit of {MAX_TERMS}")
+
+
+@lru_cache
+def _relabelings(l: int) -> Mapping[tuple[int, ...], tuple]:
+    """Read-only {s: (sgn(s), e -> s e)} over the permutations s of l
+    variables, in lexicographic order, where (s e)_k = e_(s(k))."""
+    return MappingProxyType({
+        perm: (perm_sign(perm), itemgetter(*perm) if l > 1 else tuple)
+        for perm in permutations(range(l))
+    })
 
 
 def skew_symmetrize(p: MultiPoly) -> MultiPoly:
@@ -160,24 +171,23 @@ def skew_symmetrize(p: MultiPoly) -> MultiPoly:
     once.
     """
     l = p.nvars
-    den, num = _numerators(p.terms)
+    relabelings = _relabelings(l)
     plus: dict[tuple[int, ...], int] = {}
-    for e, n in num.items():
-        order = sorted(range(l), key=e.__getitem__, reverse=True)
-        f = tuple([e[i] for i in order])
-        if len(set(f)) == l:
-            plus[f] = plus.get(f, 0) + perm_sign(order) * n
-    reps = {f: Fraction(n, den) for f, n in plus.items() if n}
-    _check_size(factorial(l) * len(reps), "the skew sum")
-    return MultiPoly._wrap(l, dict(_orbit_terms(reps, l)))
-
-
-def _orbit_terms(plus: dict, l: int):
-    """(s f, sgn(s) c) for every term f: c of plus and every permutation s."""
-    signed = {1: list(plus.values()), -1: [-c for c in plus.values()]}
-    for perm in permutations(range(l)):
-        for f, c in zip(plus, signed[perm_sign(perm)]):
-            yield tuple([f[k] for k in perm]), c
+    for e, n in p.nums.items():
+        if len(set(e)) == l:
+            sign, relabel = relabelings[tuple(sorted(range(l), key=e.__getitem__, reverse=True))]
+            f = relabel(e)
+            plus[f] = plus.get(f, 0) + sign * n
+    plus = {f: n for f, n in plus.items() if n}
+    _check_size(factorial(l) * len(plus), "the skew sum")
+    # relabeling only moves and negates coefficients, so the gcd of q+ is that of the sum
+    g = gcd(p.den, *plus.values())
+    values = {1: [n // g for n in plus.values()]}
+    values[-1] = [-n for n in values[1]]
+    nums: dict[tuple[int, ...], int] = {}
+    for sign, relabel in relabelings.values():
+        nums.update(zip(map(relabel, plus), values[sign]))
+    return MultiPoly._wrap(l, p.den // g, nums)
 
 
 def _divided_difference(terms: dict, i: int) -> dict:
@@ -211,15 +221,19 @@ def divide_by_vandermonde(q: MultiPoly) -> MultiPoly:
     divided differences along a reduced word of the longest permutation.
     """
     l = q.nvars
-    den, num = _numerators(q.terms)
-    out = {e: n for e, n in num.items() if all(x > y for x, y in zip(e, e[1:]))}
+    nums = q.nums
+    out = {e: n for e, n in nums.items() if all(map(gt, e, e[1:]))}
     # q is skew-symmetric exactly when it is the skew sum of q+
-    if factorial(l) * len(out) != len(num) or any(num.get(g) != n for g, n in _orbit_terms(out, l)):
+    values = {1: list(out.values()), -1: [-n for n in out.values()]}
+    if factorial(l) * len(out) != len(nums) or any(
+        any(map(ne, map(nums.get, map(relabel, out)), values[sign]))
+        for sign, relabel in _relabelings(l).values()
+    ):
         raise ValueError("input is not skew-symmetric")
     for j in range(l - 1, 0, -1):
         for i in range(j):
             out = _divided_difference(out, i)
-    return MultiPoly._wrap(l, {e: Fraction(n, den) for e, n in out.items()})
+    return MultiPoly.from_numerators(l, q.den, out)
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +247,11 @@ def vol_unitary(n: int) -> SymScalar:
     return SymScalar(Fraction(1, superfactorial(n)), 2 * m, m)
 
 
-def _chain(pair: DualPair) -> dict[str, SymScalar]:
+@lru_cache
+def _chain(pair: DualPair) -> Mapping[str, SymScalar]:
     """All constants but vol(U_l') and vol(S^h1): the ones that need no
-    factorial past (l-1)!, so building them costs the same at every l'."""
+    factorial past (l-1)!, so building them costs the same at every l'.
+    Memoized per pair, so the mapping is read-only."""
     l, lp = pair.l, pair.lp
     half = l * (l - 1) // 2
 
@@ -249,7 +265,7 @@ def _chain(pair: DualPair) -> dict[str, SymScalar]:
     c_h1 = SymScalar(Fraction((-1) ** (l * (lp - l))), 0, 0, (l * (lp - 1)) % 4)
     # 2 vol(H) C_1 C_2 / C_W
     c_bullet = SymScalar(Fraction(2), 2 * l, l) * c_1 / c_weyl
-    return {
+    return MappingProxyType({
         "vol_G": vol_g,
         "vol_H": vol_h,
         "c_weyl": c_weyl,
@@ -259,7 +275,7 @@ def _chain(pair: DualPair) -> dict[str, SymScalar]:
         "C_2": c_2,
         "C_h1": c_h1,
         "C_bullet": c_bullet,
-    }
+    })
 
 
 def constants(pair: DualPair) -> dict[str, SymScalar]:
@@ -298,6 +314,11 @@ class DistributionData:
     prefactor: SymScalar
     poly: MultiPoly
 
+    @cached_property
+    def modulus(self) -> float:
+        """|prefactor| as a float, built on first use."""
+        return abs(self.prefactor).to_float()
+
     def is_zero(self) -> bool:
         return self.prefactor.is_zero() or self.poly.is_zero()
 
@@ -325,19 +346,26 @@ def _pipeline(ab, l: int) -> MultiPoly:
     return divide_by_vandermonde(skew_symmetrize(_product([pab2(a, b) for a, b in ab], l)))
 
 
-def _slice_prefactor(pair: DualPair) -> SymScalar:
-    # i^(l(l-1)/2) (2 pi)^(l(l-1)/2): the i-powers of the root product and
-    # the beta-powers from rewriting the Vandermonde in z = 2*pi*y.
+@lru_cache
+def _prefactor(pair: DualPair, turns: int) -> SymScalar:
+    """C_bullet * i^turns * i^(l(l-1)/2) (2 pi)^(l(l-1)/2), memoized per pair
+    and central character.
+
+    i^turns is the central character at the base point of the Cayley lift
+    under the fixed "+" convention, i^(2 sum mu_j) (``_central_turns``).
+    The last factor collects the i-powers of the root product and the
+    beta-powers from rewriting the Vandermonde in z = 2*pi*y.
+    """
     half = pair.l * (pair.l - 1) // 2
-    return SymScalar(Fraction(1), 2 * half, half, half % 4)
+    central = SymScalar(Fraction(1), 0, 0, turns)
+    return _chain(pair)["C_bullet"] * central * SymScalar(Fraction(1), 2 * half, half, half % 4)
 
 
-def _central_character(mu: HCParam) -> SymScalar:
-    # Value of the central character at the base point of the Cayley lift
-    # under the fixed "+" convention: i^(2 sum mu_j), a 4th root of unity:
-    # (-1)^(sum mu_j) for integral entry sums, and +-i for the half-integral
-    # sums of some genuine parameters of odd length.
-    return SymScalar(Fraction(1), 0, 0, sum(m.doubled for m in mu) % 4)
+def _central_turns(mu: HCParam) -> int:
+    # 2 sum mu_j mod 4: the central character is (-1)^(sum mu_j) for
+    # integral entry sums, and +-i for the half-integral sums of some
+    # genuine parameters of odd length.
+    return sum(m.doubled for m in mu) % 4
 
 
 def distribution_G(mu: HCParam, pair: DualPair) -> DistributionData:
@@ -347,8 +375,7 @@ def distribution_G(mu: HCParam, pair: DualPair) -> DistributionData:
     if any(b <= 0 for _, b in ab):
         return DistributionData(SymScalar.zero(), MultiPoly.zero(l))
     inv = _pipeline(ab, l)
-    pref = _chain(pair)["C_bullet"] * _central_character(mu) * _slice_prefactor(pair)
-    return DistributionData(pref, inv)
+    return DistributionData(_prefactor(pair, _central_turns(mu)), inv)
 
 
 def distribution_Gprime(mup: HCParam, pair: DualPair) -> DistributionData:
@@ -362,12 +389,7 @@ def distribution_Gprime(mup: HCParam, pair: DualPair) -> DistributionData:
     if not occurs_Gprime(mup, pair):
         return DistributionData(SymScalar.zero(), MultiPoly.zero(l))
     inv = _pipeline([(b, a) for a, b in ab_params(s0_apply(mup, pair)[:l], pair)], l)
-    pref = (
-        _chain(pair)["C_bullet"]
-        * _central_character(mup)
-        * mysterious_factor(mup, pair)
-        * _slice_prefactor(pair)
-    )
+    pref = _prefactor(pair, _central_turns(mup)) * mysterious_factor(mup, pair)
     return DistributionData(pref, inv)
 
 
@@ -382,10 +404,10 @@ def proportionality(mu: HCParam, mup: HCParam, pair: DualPair) -> SymScalar:
     dgp = distribution_Gprime(mup, pair)
     if dg.is_zero() or dgp.is_zero():
         raise ValueError("one of the distributions vanishes")
-    lead = max(dgp.poly.terms)
-    if lead not in dg.poly.terms:
+    lead = max(dgp.poly.nums)
+    if lead not in dg.poly.nums:
         raise ValueError("invariant polynomials are not proportional")
-    ratio = dg.poly.terms[lead] / dgp.poly.terms[lead]
+    ratio = dg.poly.coefficient(lead) / dgp.poly.coefficient(lead)
     if dg.poly != dgp.poly * ratio:
         raise ValueError("invariant polynomials are not proportional")
     return dg.prefactor * ratio / dgp.prefactor
@@ -521,7 +543,7 @@ def eval_distribution(data: DistributionData, pair: DualPair, w) -> float:
     with np.errstate(over="ignore"):
         z = 2.0 * pi * np.clip(np.linalg.eigvalsh(m)[::-1], 0.0, None)
     try:
-        value = abs(data.prefactor).to_float() * exp(-float(z.sum())) * data.poly.eval_float(z)
+        value = data.modulus * exp(-float(z.sum())) * data.poly.eval_float(z)
     except (OverflowError, ValueError):  # the terms or their sum overflow
         value = float("inf")
     if not isfinite(value):

@@ -31,21 +31,31 @@ __all__ = [
 def pab2(a: int, b: int) -> MultiPoly:
     """The polynomial P_{a,b,2} as a one-variable MultiPoly; zero when b <= 0.
 
-    Built from the term ratio of its series: c_0 = 2^(-a) / (b-1)! is the
-    coefficient of xi^(b-1) and c_(k+1) = c_k (a+k)(b-1-k) / (2(k+1)) that
-    of xi^(b-2-k), so each coefficient costs one multiplication.  The terms
-    past k = -a vanish with the rising factor and are dropped.
+    The coefficient of xi^(b-1-k) is r_k 2^(-a-k) / (b-1)! with the integer
+    r_k = a(a+1)...(a+k-1) binom(b-1, k), built from the term ratio
+    r_(k+1) = r_k (a+k)(b-1-k) / (k+1), one exact division per term.  So
+    the numerators are r_k 2^(K-k) over the one denominator 2^(a+K) (b-1)!,
+    K the last k kept (a negative power of two moves to the numerators).
+    The terms past k = -a vanish with the rising factor and are dropped.
     """
-    terms, c = {}, Fraction(2) ** -a / factorial(max(b - 1, 0))
-    for k in range(b if a > 0 else min(b, 1 - a)):
-        terms[(b - 1 - k,)] = c
-        c *= Fraction((a + k) * (b - 1 - k), 2 * (k + 1))
-    return MultiPoly._wrap(1, terms)
+    count = b if a > 0 else min(b, 1 - a)
+    if count <= 0:
+        return MultiPoly.zero(1)
+    last = count - 1
+    nums, r = {}, 1
+    for k in range(count):
+        nums[(b - 1 - k,)] = r << (last - k)
+        r = r * (a + k) * (b - 1 - k) // (k + 1)
+    two = a + last  # the power of two in the denominator
+    if two < 0:
+        nums = {e: n << -two for e, n in nums.items()}
+    return MultiPoly.from_numerators(1, factorial(b - 1) << max(two, 0), nums)
 
 
 def pab_minus2(a: int, b: int) -> MultiPoly:
     """The mirror P_{a,b,-2}(xi) = P_{b,a,2}(-xi)."""
-    return MultiPoly._wrap(1, {e: -c if e[0] % 2 else c for e, c in pab2(b, a).terms.items()})
+    p = pab2(b, a)
+    return MultiPoly._wrap(1, p.den, {e: -n if e[0] % 2 else n for e, n in p.nums.items()})
 
 
 def pab_piecewise_eval(a: int, b: int, xi: float) -> float:
@@ -62,7 +72,7 @@ def pab_piecewise_eval(a: int, b: int, xi: float) -> float:
     else:
         return 0.0
     x = Fraction(xi)  # summed exactly and rounded once
-    return 2.0 * pi * float(sum(c * x**d for (d,), c in p.terms.items()))
+    return 2.0 * pi * float(sum(n * x**d for (d,), n in p.nums.items()) / p.den)
 
 
 def pab_value_at_zero(a: int, b: int) -> Fraction:

@@ -332,14 +332,12 @@ def ab_params(mu: HCParam, pair: DualPair) -> tuple[tuple[int, int], ...]:
     """The integer pairs a_j = -mu_j - delta + 1, b_j = mu_j - delta + 1 of l entries mu_j."""
     if len(mu) != pair.l:
         raise ValueError(f"parameter must have {pair.l} entries")
-    d = delta_of(pair)
+    d2 = delta_of(pair).doubled
     out = []
     for m in mu:
-        a = -m - d + 1
-        b = m - d + 1
-        if not a.is_integer():
-            raise ValueError(f"entry {m} has the wrong parity class for delta = {d}")
-        out.append((a.to_int(), b.to_int()))
+        if (m.doubled + d2) % 2:
+            raise ValueError(f"entry {m} has the wrong parity class for delta = {delta_of(pair)}")
+        out.append(((2 - d2 - m.doubled) // 2, (2 - d2 + m.doubled) // 2))
     return tuple(out)
 
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import exp, fsum, inf, isfinite, pi
 
 from howedual import DualPair, HCParam, MultiPoly, delta_of
 
@@ -57,3 +58,33 @@ def all_pairs(max_l: int = 3, max_lp: int = 5) -> list[DualPair]:
     return [
         DualPair(l, lp) for l in range(1, max_l + 1) for lp in range(l, max_lp + 1)
     ]
+
+
+def eval_float_reference(p: MultiPoly, point) -> float:
+    """The per-term evaluation ``MultiPoly.eval_float`` must reproduce bit for
+    bit: each Fraction coefficient rounded to a float, multiplied by
+    z_1**e_1, ..., z_l**e_l in that order, and summed by ``math.fsum``."""
+    z = [float(v) for v in point]
+    terms = []
+    for e, c in p.terms.items():
+        term = float(c)
+        for v, d in zip(z, e):
+            term *= v**d
+        terms.append(term)
+    return fsum(terms)
+
+
+def eval_distribution_reference(data, pair: DualPair, w) -> float:
+    """``eval_distribution`` at a finite w, with the polynomial evaluated by
+    ``eval_float_reference``; ValueError where the value is not finite."""
+    import numpy as np
+
+    m = w @ w.conj().T
+    z = 2.0 * pi * np.clip(np.linalg.eigvalsh(m)[::-1], 0.0, None)
+    try:
+        value = abs(data.prefactor).to_float() * exp(-float(z.sum())) * eval_float_reference(data.poly, z)
+    except (OverflowError, ValueError):
+        value = inf
+    if not isfinite(value):
+        raise ValueError("the value at w is not finite")
+    return value

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from howedual import DualPair, HCParam, correspond
 from howedual.cli import main
+from howedual.reps import _HalfIntTuple
 
 
 def _reject_constant(name):
@@ -378,6 +380,29 @@ def test_dim_piprime_guard_refuses_exactly_what_str_cannot_print(capsys):
         code, payload = run_cli(capsys, "dims", "--l", "1", "--lp", "1500", "--mu", "1543")
         assert code == 1
         assert payload == {"error": "dim Pi' would have 641 digits, past the print limit of 640"}
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_dim_piprime_is_refused_before_a_parameter_is_serialized(capsys, monkeypatch):
+    # at l' = 200000 the second-member parameter alone took 74 ms to serialize
+    mu_prime = ",".join(correspond(HCParam(["1543"]), DualPair(1, 1500)).to_json())
+
+    def unreachable(self):
+        raise AssertionError("a parameter was serialized before dim Pi' was refused")
+
+    monkeypatch.setattr(_HalfIntTuple, "to_json", unreachable)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for argv in (
+            ("correspond", "--mu", "1543"),
+            ("correspond", "--back", f"--mu-prime={mu_prime}"),
+            ("dims", "--mu", "1543"),
+        ):
+            code, payload = run_cli(capsys, argv[0], "--l", "1", "--lp", "1500", *argv[1:])
+            assert code == 1
+            assert payload == {"error": "dim Pi' would have 641 digits, past the print limit of 640"}
     finally:
         sys.set_int_max_str_digits(limit)
 

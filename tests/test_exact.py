@@ -1,14 +1,14 @@
-"""Half-integer and symbolic-scalar arithmetic."""
+"""Half-integer, symbolic-scalar and exact-polynomial arithmetic."""
 
 import random
 import sys
 from fractions import Fraction
 from itertools import permutations
-from math import inf, isclose, log, perm, pi
+from math import gcd, inf, isclose, log, perm, pi
 
 import pytest
 
-from howedual import HalfInt, SymScalar, det, factorial, rising
+from howedual import HalfInt, MultiPoly, SymScalar, det, factorial, rising
 from howedual.exact import (
     _odd_part,
     check_digits,
@@ -255,3 +255,106 @@ def test_symscalar_multiplicative_axioms_randomized():
         assert abs(x * y) == abs(x) * abs(y)
         # numeric consistency of the exact product
         assert (x * y).to_complex() == pytest.approx(x.to_complex() * y.to_complex())
+
+
+# -- MultiPoly against a plain Fraction dict ---------------------------------
+
+
+def _random_terms(rng, nvars):
+    """A Fraction dict with zero coefficients and assorted denominators."""
+    return {
+        tuple(rng.randint(0, 3) for _ in range(nvars)): Fraction(
+            rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 9, 10**20 + 39])
+        )
+        for _ in range(rng.randint(0, 7))
+    }
+
+
+def _nonzero(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def _plain_add(x, y):
+    out = dict(x)
+    for e, c in y.items():
+        out[e] = out.get(e, 0) + c
+    return _nonzero(out)
+
+
+def _plain_mul(x, y):
+    out = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return _nonzero(out)
+
+
+def _plain_json(terms):
+    return [{"exp": list(e), "coeff": str(c)} for e, c in sorted(terms.items(), reverse=True)]
+
+
+def _plain_repr(terms):
+    if not terms:
+        return "MultiPoly(0)"
+    return "MultiPoly(" + " + ".join(f"{c}*z^{e}" for e, c in sorted(terms.items(), reverse=True)) + ")"
+
+
+def _assert_is(poly, terms):
+    """poly has exactly the nonzero Fraction coefficients ``terms``, stored in
+    lowest terms, and prints as they do."""
+    assert dict(poly.terms) == terms and all(type(c) is Fraction for c in poly.terms.values())
+    assert poly.den > 0 and gcd(poly.den, *poly.nums.values()) == 1 and all(poly.nums.values())
+    assert poly.is_zero() == (not terms)
+    assert poly.to_json() == _plain_json(terms) and repr(poly) == _plain_repr(terms)
+
+
+def test_multipoly_matches_a_fraction_dict():
+    rng = random.Random(41)
+    for _ in range(300):
+        nv = rng.randint(1, 3)
+        x, y = _random_terms(rng, nv), _random_terms(rng, nv)
+        p, q = MultiPoly(nv, x), MultiPoly(nv, y)
+        px, py = _nonzero(x), _nonzero(y)
+        _assert_is(p, px)
+        assert list(p.terms) == list(px)  # zero coefficients dropped, order kept
+        for e in list(x) + [(4,) * nv]:
+            assert p.coefficient(e) == px.get(e, 0) and type(p.coefficient(e)) is Fraction
+        _assert_is(p + q, _plain_add(px, py))
+        _assert_is(p - q, _plain_add(px, {e: -c for e, c in py.items()}))
+        _assert_is(-p, {e: -c for e, c in px.items()})
+        _assert_is(p * q, _plain_mul(px, py))
+        for k in (0, 3, -1, Fraction(-5, 6), Fraction(10**20 + 39, 7)):
+            _assert_is(p * k, _nonzero({e: c * k for e, c in px.items()}))
+            assert k * p == p * k
+
+
+def test_multipoly_equality_and_hash_do_not_depend_on_the_denominator():
+    rng = random.Random(43)
+    for _ in range(200):
+        nv = rng.randint(1, 3)
+        p = MultiPoly(nv, _random_terms(rng, nv))
+        r = rng.choice([2, 3, 12, 10**20 + 39])
+        routes = [
+            MultiPoly.from_numerators(nv, p.den * r, {e: n * r for e, n in p.nums.items()}),
+            (p * r) * Fraction(1, r),
+            p + MultiPoly(nv, {(0,) * nv: Fraction(1, r)}) - MultiPoly(nv, {(0,) * nv: Fraction(2, 2 * r)}),
+            MultiPoly(nv, dict(reversed(list(p.terms.items())))),
+        ]
+        for other in routes:
+            assert other == p and hash(other) == hash(p)
+            assert (other.den, other.nums) == (p.den, p.nums)
+            assert other.to_json() == p.to_json() and other.to_latex() == p.to_latex() and repr(other) == repr(p)
+    assert MultiPoly(2, {(1, 0): Fraction(1, 2)}) != MultiPoly(2, {(1, 0): 1})
+    assert MultiPoly(2, {(1, 0): 1}) != MultiPoly(3, {(1, 0, 0): 1})
+
+
+def test_multipoly_presentation_and_read_only_terms():
+    p = MultiPoly(2, {(2, 0): Fraction(-3, 2), (1, 1): 1, (0, 0): Fraction(1, 3), (0, 1): -1, (1, 0): 0})
+    assert p.to_latex() == "-3/2 z_{1}^{2} + z_{1} z_{2} - z_{2} + 1/3"
+    assert repr(p) == "MultiPoly(-3/2*z^(2, 0) + 1*z^(1, 1) + -1*z^(0, 1) + 1/3*z^(0, 0))"
+    assert (p.den, p.nums) == (6, {(2, 0): -9, (1, 1): 6, (0, 0): 2, (0, 1): -6})
+    assert MultiPoly.zero(2).to_latex() == "0" and repr(MultiPoly.zero(2)) == "MultiPoly(0)"
+    assert p.terms is p.terms  # built once
+    with pytest.raises(TypeError):
+        p.terms[(1, 0)] = Fraction(1)

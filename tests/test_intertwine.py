@@ -1,18 +1,26 @@
 """The polynomial engine, distribution assembly, constants, and value at zero."""
 
+import hashlib
 import json
 import random
 import sys
 import warnings
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, isclose, log, pi
+from math import copysign, factorial, isclose, isfinite, isnan, log, pi
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import all_pairs, is_symmetric, occurring_params, permuted
+from conftest import (
+    all_pairs,
+    eval_distribution_reference,
+    eval_float_reference,
+    is_symmetric,
+    occurring_params,
+    permuted,
+)
 from howedual import (
     DistributionData,
     DualPair,
@@ -182,6 +190,20 @@ def test_exact_kernels_return_nonzero_fractions():
             assert _is_exact(skew)
             assert _is_exact(divide_by_vandermonde(skew))
             assert _is_exact(distribution_G(mu, pair).poly)
+
+
+def test_l5_distributions_match_the_pinned_digests():
+    # (5, 6) at mu_j = delta + 2(l-1-j) + 3, past the l <= 4 of the benchmark's
+    # exact sweep; the digests were taken from the Fraction-coefficient MultiPoly
+    pinned = json.loads((Path(__file__).parent / "data" / "l5_digests.json").read_text())
+    pair, mu = DualPair(*pinned["pair"]), HCParam(pinned["mu"])
+    mup = correspond(mu, pair)
+    assert mup.to_json() == pinned["mu_prime"]
+    for name, build, param in (("distribution_G", distribution_G, mu), ("distribution_Gprime", distribution_Gprime, mup)):
+        payload = build(param, pair).to_json()
+        assert len(payload["poly"]) == pinned["monomials"]
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == pinned[name]
 
 
 def test_size_guard(monkeypatch):
@@ -622,6 +644,71 @@ def test_eval_float_against_exact_evaluation():
                 terms.append(term)
             error = abs(Fraction(poly.eval_float(z)) - sum(terms))
             assert error <= 2 * (l + 1) * Fraction(1, 2**53) * sum(map(abs, terms))
+
+
+def _outcome(f, *args):
+    """f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # the type is the outcome compared
+        return type(exc)
+
+
+def _same(a, b) -> bool:
+    """Equal outcomes: the same exception type, or the same float bit for bit
+    (signed zeros told apart, NaN equal to NaN)."""
+    if isinstance(a, float) and isinstance(b, float):
+        return (a == b and copysign(1.0, a) == copysign(1.0, b)) or (isnan(a) and isnan(b))
+    return a is b
+
+
+def _slice_points(l, rng):
+    """z at seeded Gaussian points, at zeros, at coincident entries, and at
+    magnitudes where v**d overflows or the terms reach +-inf."""
+    points = [2 * pi * rng.exponential(size=l) for _ in range(3)]
+    points += [np.zeros(l), np.full(l, 1.75), np.array([0.0] * (l - 1) + [2.5])]
+    if l > 1:
+        points.append(np.array([3.0, 3.0] + [0.5] * (l - 2)))
+    for scale in (1e50, 1e100, 1e154, 1e160, 1e200, 1e300):
+        points.append(np.full(l, scale))
+        points.append(scale * rng.exponential(size=l))
+    return points
+
+
+def test_evaluation_matches_the_per_term_oracle():
+    rng = np.random.default_rng(29)
+    raised = set()
+    for pair in all_pairs():
+        l, lp = pair.l, pair.lp
+        for mu in occurring_params(pair):
+            data = distribution_G(mu, pair)
+            for z in _slice_points(l, rng):
+                got = _outcome(data.poly.eval_float, z)
+                assert _same(got, _outcome(eval_float_reference, data.poly, z)), (pair, mu, z)
+                if isinstance(got, type):
+                    raised.add(got)
+            ws = [(rng.standard_normal((l, lp)) + 1j * rng.standard_normal((l, lp))) / np.sqrt(2) for _ in range(3)]
+            ws += [np.zeros((l, lp)), 1.3 * np.eye(l, lp), 1e60 * ws[0], 1e100 * ws[1]]
+            for w in ws:
+                got = _outcome(eval_distribution, data, pair, w)
+                assert _same(got, _outcome(eval_distribution_reference, data, pair, w)), (pair, mu, w)
+                assert got is ValueError or isfinite(got)
+    assert raised == {OverflowError, ValueError}
+    # a coefficient past the float range, a power that overflows, terms of +inf
+    # and -inf (fsum: ValueError) and finite terms whose sum overflows
+    cases = [
+        (MultiPoly(2, {(1, 0): Fraction(10**400, 3), (0, 0): 1}), [1.0, 2.0], OverflowError),
+        (MultiPoly(2, {(3, 0): 1, (0, 1): -1}), [1e200, 1.0], OverflowError),
+        (MultiPoly(3, {(1, 0, 0): 10**300, (0, 1, 0): -(10**300)}), [1e100, 1e100, 1.0], ValueError),
+        (MultiPoly(3, {(1, 0, 0): 10**308, (0, 1, 0): 10**308}), [1.0, 1.0, 1.0], OverflowError),
+    ]
+    for poly, z, kind in cases:
+        assert _outcome(eval_float_reference, poly, z) is kind
+        assert _outcome(poly.eval_float, z) is kind
+        n = poly.nvars
+        data, pair, w = DistributionData(SymScalar(1), poly), DualPair(n, n), np.diag(np.sqrt(np.array(z) / (2 * pi)))
+        assert _outcome(eval_distribution_reference, data, pair, w) is ValueError
+        assert _outcome(eval_distribution, data, pair, w) is ValueError
 
 
 def test_eval_on_W_at_zero():
