@@ -202,14 +202,6 @@ class HalfInt:
     def is_integer(self) -> bool:
         return self.doubled % 2 == 0
 
-    def to_int(self) -> int:
-        if not self.is_integer():
-            raise ValueError(f"{self} is not an integer")
-        return self.doubled // 2
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.doubled, 2)
-
     def _coerce(self, other) -> "HalfInt":
         if isinstance(other, HalfInt):
             return other

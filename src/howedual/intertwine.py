@@ -33,14 +33,14 @@ The second member runs the same pipeline on the first l entries of s0 mu'
 with the index pair (a, b) of ``ab_params`` exchanged.
 
 The module also carries the normalization-constant chain, built from
-vol(U_n), the two independent value-at-zero computations (the closed
-factorial form and the l x l minor of derivative values at 0), and the
-multiplicity-one identity |T(0)| = 2 * vol(U_l) * dim Pi'.  Distributions
-and values at zero take their prefactors from the part of the chain that
-``constants`` extends by vol(U_l') and vol(S^h1), memoized per pair, so
-they never build 0! 1! ... (l'-1)!; ``constants`` refuses a vol(U_l') too
-long for ``str``, sized in O(log l') from the Barnes G expansion of
-log(0! 1! ... (l'-1)!).
+vol(U_n), and the multiplicity-one identity |T(0)| = 2 * vol(U_l) * dim Pi'
+as three independent formulas: the closed form of |T(0)| (the dim Pi'
+bracket of ``reps.dim_piprime``), the l x l minor of derivative values at
+0, and Weyl's formula for dim Pi'.  Distributions and values at zero take
+their prefactors from the part of the chain that ``constants`` extends by
+vol(U_l') and vol(S^h1), memoized per pair, so they never build
+0! 1! ... (l'-1)!; ``constants`` refuses a vol(U_l') too long for ``str``,
+sized in O(log l') from the Barnes G expansion of log(0! 1! ... (l'-1)!).
 """
 
 from __future__ import annotations
@@ -71,13 +71,11 @@ from .reps import (
     HCParam,
     ab_params,
     correspond,
-    delta_of,
     dim_piprime,
-    factorial_ratio,
+    dim_weyl,
     mysterious_factor,
     occurs_G,
     occurs_Gprime,
-    root_product,
     s0_apply,
 )
 
@@ -428,17 +426,15 @@ def value_at_zero_closed(mu: HCParam, pair: DualPair) -> SymScalar:
     """|T(0)| from the closed factorial form.
 
     The bracket 2^(l l' - l(l+1)/2) * prod_j (mu_j+delta-1)! /
-    ((l'-j)! (mu_j-delta)!) * prod_{j<k} (mu_j-mu_k) equals
-    2^(l l' - l(l+1)/2) * dim Pi'; constants of modulus one are normalized
-    away.
+    ((l'-j)! (mu_j-delta)!) * prod_{j<k} (mu_j-mu_k) is
+    2^(l l' - l(l+1)/2) * dim Pi', taken from ``dim_piprime`` of the
+    partner; constants of modulus one are normalized away.
     """
     if not occurs_G(mu, pair):
         raise ValueError("parameter does not occur")
-    l, lp = pair.l, pair.lp
-    bracket = factorial_ratio(mu, delta_of(pair)) * root_product(mu)
-    bracket /= prod(map(factorial, range(lp - l, lp)))
-    two_pow = l * lp - l * (l + 1) // 2
-    return abs(_value_prefactor(pair) * SymScalar(bracket, 2 * two_pow))
+    two_pow = pair.l * pair.lp - pair.l * (pair.l + 1) // 2
+    bracket = SymScalar(dim_piprime(correspond(mu, pair), pair), 2 * two_pow)
+    return abs(_value_prefactor(pair) * bracket)
 
 
 def value_at_zero_oracle(mu: HCParam, pair: DualPair) -> SymScalar:
@@ -461,15 +457,15 @@ def value_at_zero_oracle(mu: HCParam, pair: DualPair) -> SymScalar:
 def multiplicity_one_check(mu: HCParam, pair: DualPair) -> bool:
     """|T(0)| = 2 vol(U_l) dim Pi' computed three ways.
 
-    The closed factorial form, the minor of derivative values at 0 and the
-    target 2 vol(U_l) dim Pi' must agree exactly as symbolic scalars.
+    The closed form (the ``dim_piprime`` bracket), the minor of derivative
+    values at 0 and 2 vol(U_l) dim Pi' with dim Pi' from Weyl's formula on
+    the partner must agree exactly as symbolic scalars.
     """
     if not occurs_G(mu, pair):
         raise ValueError("parameter does not occur")
     closed = value_at_zero_closed(mu, pair)
     oracle = value_at_zero_oracle(mu, pair)
-    mup = correspond(mu, pair)
-    target = abs(SymScalar(Fraction(2)) * vol_unitary(pair.l) * dim_piprime(mup, pair))
+    target = abs(SymScalar(2) * vol_unitary(pair.l) * dim_weyl(correspond(mu, pair)))
     return closed == oracle == target
 
 

@@ -2,11 +2,12 @@
 
 Highest weights, Harish-Chandra parameters, the occurrence tests for both
 members, the aligning Weyl element s0, the correspondence map and its
-inverse, and the two dimension formulas.  ``DualPair`` enforces l <= l'
-at construction, so no operation checks it again.  Computations for the
-second member are expressed on the embedded Cartan of the first through
-s0 and the shifted half-integer delta: (s0 mu')_j, j <= l, plays the role
-of a first-member entry with a and b exchanged.
+inverse, and two independent formulas for a dimension, Weyl's and the
+dim Pi' bracket, both on the doubled entries as integers.  ``DualPair``
+enforces l <= l' at construction, so no operation checks it again.
+Computations for the second member are expressed on the embedded Cartan of
+the first through s0 and the shifted half-integer delta: -(s0 mu')_j,
+j <= l, plays the role of a first-member entry with a and b exchanged.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial, fsum, log, perm, prod
 
-from .exact import HalfInt, SymScalar, log_factorial, log_falling, superfactorial
+from .exact import HalfInt, SymScalar, log_factorial, log_falling
 
 __all__ = [
     "DualPair",
@@ -37,8 +38,6 @@ __all__ = [
     "dim_weyl",
     "dim_piprime",
     "dim_piprime_log",
-    "root_product",
-    "factorial_ratio",
     "ab_params",
     "mysterious_factor",
 ]
@@ -188,26 +187,27 @@ def hw_of(mu: HCParam, pair: DualPair) -> HighestWeight:
     return hw
 
 
-def _on_delta_lattice(value: HalfInt, delta: HalfInt) -> bool:
-    """True when value lies in delta + Z (the right parity class)."""
-    return (value.doubled - delta.doubled) % 2 == 0
+def _delta_reason(doubled, pair: DualPair) -> str | None:
+    """Why not every 2x in ``doubled`` has x in delta + Z_{>=0}: ``"parity"``
+    when some x is not in delta + Z, ``"not-occurring"`` when one of the
+    right class lies below delta; None when all of them lie there."""
+    d2 = delta_of(pair).doubled
+    if any((x - d2) % 2 for x in doubled):
+        return "parity"
+    if any(x < d2 for x in doubled):
+        return "not-occurring"
+    return None
 
 
 def occurs_G_reason(mu: HCParam, pair: DualPair) -> tuple[bool, str | None]:
     """Occurrence test for the first member, with a failure reason.
 
-    mu occurs iff every entry lies in delta + Z_{>=0}.  A parity mismatch
-    (entry not in delta + Z) reports ``"parity"``; entries of the right
-    class below delta report ``"not-occurring"``.
+    mu occurs iff every entry lies in delta + Z_{>=0} (``_delta_reason``).
     """
     if len(mu) != pair.l:
         raise ValueError(f"parameter must have {pair.l} entries, got {len(mu)}")
-    d = delta_of(pair)
-    if any(not _on_delta_lattice(m, d) for m in mu):
-        return False, "parity"
-    if any(m < d for m in mu):
-        return False, "not-occurring"
-    return True, None
+    reason = _delta_reason([m.doubled for m in mu], pair)
+    return reason is None, reason
 
 
 def occurs_G(mu: HCParam, pair: DualPair) -> bool:
@@ -215,31 +215,26 @@ def occurs_G(mu: HCParam, pair: DualPair) -> bool:
 
 
 def s0_apply(mup: HCParam, pair: DualPair) -> tuple[HalfInt, ...]:
-    """The aligning Weyl element: entry j is mu'_{l'-l+j} for j <= l and
-    mu'_{j-l} for j > l; the identity when l = l'."""
+    """The aligning Weyl element, mu' rotated by l'-l places: entry j is
+    mu'_{l'-l+j} for j <= l and mu'_{j-l} for j > l."""
     if len(mup) != pair.lp:
         raise ValueError(f"parameter must have {pair.lp} entries, got {len(mup)}")
-    l, lp = pair.l, pair.lp
-    return tuple(
-        mup[lp - l + j - 1] if j <= l else mup[j - l - 1] for j in range(1, lp + 1)
-    )
+    k = pair.lp - pair.l
+    return mup[k:] + mup[:k]
 
 
 def occurs_Gprime_reason(mup: HCParam, pair: DualPair) -> tuple[bool, str | None]:
     """Occurrence test for the second member, with a failure reason.
 
-    -(s0 mu') restricted to the first l slots must lie in delta + Z_{>=0}
-    and the tail must equal the rho-string of U_{l'-l}.  At l = l', s0 is
-    the identity and the rho-string is empty.
+    -(s0 mu') restricted to the first l slots must pass the first member's
+    rule and the tail must equal the rho-string of U_{l'-l}, which is empty
+    at l = l'.
     """
-    d = delta_of(pair)
     s = s0_apply(mup, pair)
-    head, tail = s[:pair.l], s[pair.l:]
-    if any(not _on_delta_lattice(-m, d) for m in head):
-        return False, "parity"
-    if any(-m < d for m in head):
-        return False, "not-occurring"
-    if [m.doubled for m in tail] != list(_rho_pp_doubled(pair)):
+    reason = _delta_reason([-m.doubled for m in s[: pair.l]], pair)
+    if reason:
+        return False, reason
+    if [m.doubled for m in s[pair.l :]] != list(_rho_pp_doubled(pair)):
         return False, "tail"
     return True, None
 
@@ -271,44 +266,56 @@ def correspond_back(mup: HCParam, pair: DualPair) -> HCParam:
     return HCParam(-mup[lp - j] for j in range(1, l + 1))
 
 
-def root_product(xs) -> Fraction:
-    """prod_{j<k} (x_j - x_k) over a sequence of half-integers."""
-    return prod(((x - y).as_fraction() for x, y in combinations(xs, 2)), start=Fraction(1))
-
-
-def factorial_ratio(xs, d: HalfInt) -> Fraction:
-    """prod_j (x_j + d - 1)! / (x_j - d)! over half-integers x_j in d + Z_{>=0}.
-
-    Each ratio is the product of the 2d - 1 integers above x_j - d, that is
-    ``math.perm(x_j + d - 1, 2d - 1)``, so no factorial is built and the
-    result is an integer.
-    """
-    return Fraction(prod(perm((x + d - 1).to_int(), d.doubled - 1) for x in xs))
-
-
 def dim_weyl(mu: HCParam) -> int:
-    """Weyl dimension formula: prod_{j<k} (mu_j - mu_k) / (k - j)."""
-    out = root_product(mu) / superfactorial(len(mu))
-    if out.denominator != 1 or out <= 0:
+    """Weyl dimension formula: prod_{j<k} (mu_j - mu_k) / (k - j).
+
+    Inside a run of consecutive entries (mu_{j+1} = mu_j - 1) every factor
+    is 1, so each maximal run j..k-1 is taken against each later entry i as
+    one ratio prod_{s<n} (D - 2s) / (2^n (i-j)(i-j-1)...(i-j-n+1)), with
+    D = 2(mu_j - mu_i) and n = k - j, all on integers.  ValueError when
+    the product is not a positive integer.
+    """
+    xs = [m.doubled for m in mu]
+    starts = [j for j in range(len(xs)) if j == 0 or xs[j - 1] - xs[j] != 2]
+    num = den = 1
+    for j, k in zip(starts, starts[1:] + [len(xs)]):
+        n = k - j
+        for i in range(k, len(xs)):
+            d = xs[j] - xs[i]
+            num *= prod(range(d, d - 2 * n, -2))
+            den *= perm(i - j, n) << n
+    dim, rem = divmod(num, den)
+    if rem or dim <= 0:
         raise ValueError("parameter is not strictly dominant")
-    return int(out)
+    return dim
+
+
+def _factorial_ratio(doubled, d2: int) -> int:
+    """prod_j (x_j + delta - 1)! / (x_j - delta)! over x_j in delta + Z_{>=0},
+    given 2 x_j and 2 delta: each ratio is ``math.perm(x_j + delta - 1,
+    2 delta - 1)``, the 2 delta - 1 integers above x_j - delta."""
+    return prod(perm((x + d2) // 2 - 1, d2 - 1) for x in doubled)
 
 
 def dim_piprime(mup: HCParam, pair: DualPair) -> int:
     """Dimension of the second-member representation from its occurrence data.
 
-    Three factors over the last l slots x = mu'_j: 1 / prod_{j<=l} (l'-j)!,
-    the factorial ratios (delta - x - 1)! / (-x - delta)! and the root
-    product.  Agrees with ``dim_weyl``.
+    The bracket prod_j (x_j+delta-1)!/(x_j-delta)! * prod_{j<k} (x_j - x_k)
+    / prod_{j<=l} (l'-j)! over x = -mu'_{l'}, ..., -mu'_{l'-l+1}, the
+    entries of the partner mu, in integers from the doubled entries.  This
+    is the one place the bracket is computed: ``mysterious_factor`` reads
+    its factorial ratios and ``intertwine.value_at_zero_closed`` the whole
+    of it.  Agrees with ``dim_weyl``.
     """
     if not occurs_Gprime(mup, pair):
         raise ValueError("parameter does not occur")
-    tail = mup[pair.lp - pair.l :]
-    out = factorial_ratio([-x for x in tail], delta_of(pair)) * root_product(tail)
-    out /= prod(map(factorial, range(pair.lp - pair.l, pair.lp)))
-    if out.denominator != 1:
+    l, lp = pair.l, pair.lp
+    xs = [-m.doubled for m in mup[lp - l :]]  # 2 mu_l, ..., 2 mu_1
+    num = _factorial_ratio(xs, delta_of(pair).doubled) * prod(y - x for x, y in combinations(xs, 2))
+    dim, rem = divmod(num, prod(map(factorial, range(lp - l, lp))) << (l * (l - 1) // 2))
+    if rem:
         raise ValueError("dimension formula did not produce an integer")
-    return int(out)
+    return dim
 
 
 def dim_piprime_log(mup: HCParam, pair: DualPair) -> tuple[float, float]:
@@ -342,11 +349,12 @@ def ab_params(mu: HCParam, pair: DualPair) -> tuple[tuple[int, int], ...]:
 
 
 def mysterious_factor(mup: HCParam, pair: DualPair) -> SymScalar:
-    """prod_{j<=l} (-(s0 mu')_j + delta - 1)! / (-(s0 mu')_j - delta)!.
+    """The factorial ratios of ``dim_piprime``, on x = -(s0 mu')_j, j <= l.
 
     For an occurring parameter this equals
     (dim Pi' / dim Pi) * prod_{j<=l} (l'-j)!/(l-j)!, a positive rational.
     """
     if not occurs_Gprime(mup, pair):
         raise ValueError("parameter does not occur")
-    return SymScalar(factorial_ratio([-x for x in s0_apply(mup, pair)[: pair.l]], delta_of(pair)))
+    xs = [-m.doubled for m in s0_apply(mup, pair)[: pair.l]]
+    return SymScalar(_factorial_ratio(xs, delta_of(pair).doubled))

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
-from math import exp, fsum, inf, isfinite, pi
+from math import exp, factorial, fsum, inf, isfinite, pi, prod
 
 from howedual import DualPair, HCParam, MultiPoly, delta_of
 
@@ -58,6 +58,17 @@ def all_pairs(max_l: int = 3, max_lp: int = 5) -> list[DualPair]:
     return [
         DualPair(l, lp) for l in range(1, max_l + 1) for lp in range(l, max_lp + 1)
     ]
+
+
+def dim_weyl_reference(mu) -> int:
+    """Weyl's formula as ``reps.dim_weyl`` must reproduce it: the product of
+    the l(l-1)/2 Fraction differences mu_j - mu_k over 0! 1! ... (l-1)!,
+    with ValueError where that is not a positive integer."""
+    out = prod((Fraction(x.doubled - y.doubled, 2) for x, y in combinations(mu, 2)), start=Fraction(1))
+    out /= prod(map(factorial, range(len(mu))))
+    if out.denominator != 1 or out <= 0:
+        raise ValueError("parameter is not strictly dominant")
+    return int(out)
 
 
 def eval_float_reference(p: MultiPoly, point) -> float:

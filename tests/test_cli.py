@@ -463,6 +463,29 @@ def test_correspond_back_at_a_large_second_rank():
     assert payload == {"mu": ["20000"], "dim_pi": 1, "dim_pi_prime": math.comb(20999, 1999)}
 
 
+def _partner_argv(lp, mu):
+    mu_prime = ",".join(correspond(HCParam([mu]), DualPair(1, lp)).to_json())
+    return ["--l", "1", "--lp", str(lp), f"--mu-prime={mu_prime}"]
+
+
+def test_dims_of_a_second_member_parameter_at_a_large_second_rank():
+    # Weyl's formula takes each run of consecutive entries as one ratio; the
+    # product of l'(l'-1)/2 Fractions did not finish here in 30 s
+    code, payload = run_to_json("dims", *_partner_argv(2000, "20000"), timeout=10)
+    assert code == 0 and payload["dim_pi"] == 1
+    assert payload["dim_pi_prime"] == payload["dim_pi_prime_formula"] == math.comb(20999, 1999)
+
+
+def test_dims_of_a_second_member_parameter_at_the_print_limit():
+    # dim Pi' = binomial(mu + 4999, 9999): 4300 digits at mu = 10333
+    limit = sys.get_int_max_str_digits()
+    code, payload = run_to_json("dims", *_partner_argv(10000, "10334"), timeout=10)
+    assert code == 1
+    assert payload == {"error": f"dim Pi' would have 4301 digits, past the print limit of {limit}"}
+    code, payload = run_to_json("dims", *_partner_argv(10000, "10333"), timeout=10)
+    assert code == 0 and payload["dim_pi_prime"] == payload["dim_pi_prime_formula"] == math.comb(15332, 9999)
+
+
 def test_overflowing_eigenvalue_writes_nothing_to_stderr(tmp_path):
     # w w^dagger is finite at 1e154, 2 pi times its eigenvalue is not
     mat = tmp_path / "w.json"

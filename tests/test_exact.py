@@ -160,11 +160,7 @@ def test_halfint_arithmetic():
     assert (a + 1) == HalfInt(5)
     assert -a == HalfInt(-3)
     assert a > b
-    assert a.as_fraction() == Fraction(3, 2)
     assert not a.is_integer()
-    assert (a + b).to_int() == 2
-    with pytest.raises(ValueError):
-        a.to_int()
 
 
 def test_symscalar_canonical_form():

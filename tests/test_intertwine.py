@@ -539,6 +539,27 @@ def test_multiplicity_one_exhaustive():
             assert value_at_zero_closed(mu, pair) == target
 
 
+@pytest.mark.parametrize("side", ["dim_weyl", "dim_piprime", "det"])
+def test_multiplicity_one_check_compares_three_formulas(monkeypatch, side):
+    # Weyl's formula (target), the dim Pi' bracket (closed form) and the
+    # minor's determinant (oracle) are separate inputs: doubling any one of
+    # them must break the identity
+    cases = [
+        (DualPair(2, 2), H("3/2,1/2")),
+        (DualPair(2, 3), H("3,1")),
+        (DualPair(2, 4), H("7/2,3/2")),
+        (DualPair(3, 3), H("5/2,3/2,1/2")),
+        (DualPair(3, 4), H("4,2,1")),
+        (DualPair(3, 5), H("9/2,5/2,3/2")),
+    ]
+    for pair, mu in cases:
+        assert multiplicity_one_check(mu, pair)
+    original = getattr(intertwine, side)
+    monkeypatch.setattr(intertwine, side, lambda *args: 2 * original(*args))
+    for pair, mu in cases:
+        assert not multiplicity_one_check(mu, pair), (pair, mu)
+
+
 def test_rank_four_slice():
     # every occurring parameter at (4, 4), (4, 5) and (4, 6) with entries <= 13/2
     count = 0

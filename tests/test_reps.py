@@ -8,7 +8,7 @@ from math import comb, factorial, log
 
 import pytest
 
-from conftest import all_pairs, occurring_params
+from conftest import all_pairs, dim_weyl_reference, occurring_params
 from howedual import (
     DualPair,
     HalfInt,
@@ -140,6 +140,32 @@ def test_dim_weyl():
     assert dim_weyl(H("2,0,-2")) == 8
 
 
+def test_dim_weyl_matches_the_fraction_product():
+    # doubled entries drawn from [-30, 30], or walked down from there in steps
+    # of 1 to 4 (mixed parity, and runs of consecutive entries at steps of 2):
+    # the same int, or ValueError on both sides
+    rng = random.Random(15)
+    ints = 0
+    for _ in range(4000):
+        n = rng.randint(1, 8)
+        if rng.random() < 0.5:
+            xs = sorted(rng.sample(range(-30, 31), n), reverse=True)
+        else:
+            xs = [rng.randint(-30, 30)]
+            for _ in range(n - 1):
+                xs.append(xs[-1] - rng.choice([1, 2, 2, 2, 3, 4]))
+        mu = HCParam(map(HalfInt, xs))
+        try:
+            expected = dim_weyl_reference(mu)
+        except ValueError:
+            with pytest.raises(ValueError, match="not strictly dominant"):
+                dim_weyl(mu)
+            continue
+        assert dim_weyl(mu) == expected, xs
+        ints += 1
+    assert 1000 < ints < 3900
+
+
 def test_dim_piprime_frozen():
     assert dim_piprime(H("0,-2"), DualPair(1, 2)) == 2
     assert dim_piprime(H("-1/2,-3/2"), DualPair(2, 2)) == 1
@@ -198,7 +224,7 @@ def test_ab_params_integrality_randomized():
         mu = HCParam([d + o for o in offsets])
         for a, b in ab_params(mu, pair):
             assert isinstance(a, int) and isinstance(b, int)
-            assert a + b == 2 - 2 * d.as_fraction()
+            assert a + b == 2 - d.doubled
 
 
 def test_occurrence_iff_positive_b():
