@@ -12,9 +12,10 @@ Only the numeric subcommands load numpy: ``eval``, ``dist --at`` and
 ``occurs``, ``correspond``, ``dims``, ``constants`` and ``dist`` without
 ``--at`` start without it.
 
-A dim Pi' too long for ``str`` to print is refused here, before it is
-built, from its logarithm (``reps.dim_piprime_log``); the library's
-``dim_piprime`` itself always returns the exact integer.
+A dimension too long for ``str`` to print is refused here, before it is
+built, from its logarithm (``reps.dim_piprime_log`` for the dim Pi'
+bracket, ``reps.dim_weyl_log`` for every Weyl dimension); the library's
+``dim_piprime`` and ``dim_weyl`` themselves always return the exact integer.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import re
 import sys
 from typing import TYPE_CHECKING
 
-from .exact import check_digits
+from .exact import check_digits, print_limit_log
 from .intertwine import (
     DistributionData,
     constants,
@@ -44,6 +45,7 @@ from .reps import (
     dim_piprime,
     dim_piprime_log,
     dim_weyl,
+    dim_weyl_log,
     hc_param,
     occurs_G_reason,
     occurs_Gprime_reason,
@@ -104,6 +106,16 @@ def _dim_piprime(mup: HCParam, pair: DualPair) -> int:
     return dim_piprime(mup, pair)
 
 
+def _dim_weyl(what: str, mu: HCParam) -> int:
+    """``dim_weyl``, refused before it is built when ``str`` could not print
+    it.  The log sum may stop once it passes the limit; its digit count is
+    then a lower bound, and the message says so."""
+    stop = print_limit_log()
+    log_size, scale = dim_weyl_log(mu, stop)
+    check_digits(what, log_size, scale, at_least=log_size > stop)
+    return dim_weyl(mu)
+
+
 def _emit(payload: dict):
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
@@ -129,24 +141,24 @@ def _cmd_correspond(args) -> tuple[int, dict]:
     if args.back:
         mup = _mup_from(args, "with --back")
         mu = correspond_back(mup, pair)
-        return 0, {"dim_pi_prime": _dim_piprime(mup, pair), "mu": mu.to_json(), "dim_pi": dim_weyl(mu)}
+        return 0, {"dim_pi_prime": _dim_piprime(mup, pair), "mu": mu.to_json(), "dim_pi": _dim_weyl("dim Pi", mu)}
     mu = _mu_from(args, pair)
     mup = correspond(mu, pair)
-    return 0, {"dim_pi_prime": _dim_piprime(mup, pair), "mu_prime": mup.to_json(), "dim_pi": dim_weyl(mu)}
+    return 0, {"dim_pi_prime": _dim_piprime(mup, pair), "mu_prime": mup.to_json(), "dim_pi": _dim_weyl("dim Pi", mu)}
 
 
 def _cmd_dims(args) -> tuple[int, dict]:
     pair = DualPair(args.l, args.lp)
     if args.mu_prime:
         mup = _param(HCParam, "--mu-prime", args.mu_prime)
-        payload = {"dim_pi_prime": dim_weyl(mup)}
+        payload = {"dim_pi_prime": _dim_weyl("dim Pi'", mup)}
         ok, _ = occurs_Gprime_reason(mup, pair)
         if ok:
             payload["dim_pi_prime_formula"] = _dim_piprime(mup, pair)
-            payload["dim_pi"] = dim_weyl(correspond_back(mup, pair))
+            payload["dim_pi"] = _dim_weyl("dim Pi", correspond_back(mup, pair))
         return 0, payload
     mu = _mu_from(args, pair)
-    payload = {"dim_pi": dim_weyl(mu)}
+    payload = {"dim_pi": _dim_weyl("dim Pi", mu)}
     ok, _ = occurs_G_reason(mu, pair)
     if ok:
         mup = correspond(mu, pair)

@@ -38,6 +38,7 @@ __all__ = [
     "log_superfactorial",
     "superfactorial_valuation2",
     "check_digits",
+    "print_limit_log",
 ]
 
 Rat = Fraction
@@ -127,7 +128,19 @@ def superfactorial_valuation2(n: int) -> int:
     return n * (n - 1) // 2 - ones
 
 
-def check_digits(what: str, log_size: float, scale: float = 0.0):
+def _print_limit() -> int:
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+
+
+def print_limit_log() -> float:
+    """The natural log of 10^(L + 1) for the print limit L, inf without one.
+    ``check_digits`` refuses a log past it at any scale below 10^12, so a
+    sum of nonnegative logs may stop there."""
+    limit = _print_limit()
+    return (limit + 1) * log(10) if limit else inf
+
+
+def check_digits(what: str, log_size: float, scale: float = 0.0, at_least: bool = False):
     """Refuse, with ValueError, a number of natural log ``log_size`` that
     ``str`` would not print under the interpreter's integer-string limit.
 
@@ -136,14 +149,16 @@ def check_digits(what: str, log_size: float, scale: float = 0.0):
     a number past the limit by more than 1e-12 of the scale plus 1e-9 (in
     log10) is refused, so one nearer the limit is built and ``str`` has the
     last word.  The count in the message is floor(log10) + 1, which can be
-    one off for a number within that error of a power of ten.
+    one off for a number within that error of a power of ten; ``at_least``
+    says that ``log_size`` is only a lower bound, and so is the count.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    limit = _print_limit()
     log10_size = log_size / log(10)
     error = 1e-9 + 1e-12 * max(scale, abs(log_size)) / log(10)
     if limit and log10_size >= limit + error:  # inf >= inf refuses a size past the float range
         digits = int(log10_size) + 1 if isfinite(log10_size) else "more than 10^307"
-        raise ValueError(f"{what} would have {digits} digits, past the print limit of {limit}")
+        bound = "at least " if at_least else ""
+        raise ValueError(f"{what} would have {bound}{digits} digits, past the print limit of {limit}")
 
 
 def det(rows) -> Fraction:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, fsum, log, perm, prod
+from math import factorial, fsum, inf, log, perm, prod
 
 from .exact import HalfInt, SymScalar, log_factorial, log_falling
 
@@ -36,6 +36,7 @@ __all__ = [
     "correspond",
     "correspond_back",
     "dim_weyl",
+    "dim_weyl_log",
     "dim_piprime",
     "dim_piprime_log",
     "ab_params",
@@ -266,6 +267,16 @@ def correspond_back(mup: HCParam, pair: DualPair) -> HCParam:
     return HCParam(-mup[lp - j] for j in range(1, l + 1))
 
 
+def _run_ratios(xs):
+    """(D, i - j, n) for each maximal run j..k-1 of consecutive entries
+    (doubled entries ``xs`` two apart) and each later entry i, where
+    D = xs[j] - xs[i] and n = k - j: the ratios of ``dim_weyl``."""
+    starts = [j for j in range(len(xs)) if j == 0 or xs[j - 1] - xs[j] != 2]
+    for j, k in zip(starts, starts[1:] + [len(xs)]):
+        for i in range(k, len(xs)):
+            yield xs[j] - xs[i], i - j, k - j
+
+
 def dim_weyl(mu: HCParam) -> int:
     """Weyl dimension formula: prod_{j<k} (mu_j - mu_k) / (k - j).
 
@@ -275,19 +286,52 @@ def dim_weyl(mu: HCParam) -> int:
     D = 2(mu_j - mu_i) and n = k - j, all on integers.  ValueError when
     the product is not a positive integer.
     """
-    xs = [m.doubled for m in mu]
-    starts = [j for j in range(len(xs)) if j == 0 or xs[j - 1] - xs[j] != 2]
     num = den = 1
-    for j, k in zip(starts, starts[1:] + [len(xs)]):
-        n = k - j
-        for i in range(k, len(xs)):
-            d = xs[j] - xs[i]
-            num *= prod(range(d, d - 2 * n, -2))
-            den *= perm(i - j, n) << n
+    for d, gap, n in _run_ratios([m.doubled for m in mu]):
+        num *= prod(range(d, d - 2 * n, -2))
+        den *= perm(gap, n) << n
     dim, rem = divmod(num, den)
     if rem or dim <= 0:
         raise ValueError("parameter is not strictly dominant")
     return dim
+
+
+def dim_weyl_log(mu: HCParam, stop: float = inf) -> tuple[float, float]:
+    """log ``dim_weyl(mu)`` from the same run ratios, and the sum of the
+    magnitudes of the terms it is summed from.
+
+    Each ratio is taken from ``log_falling``: falling(D/2, n) / falling(i-j, n)
+    for even D, and falling(D+1, 2n) / (4^n falling((D+1)/2, n)
+    falling(i-j, n)) for odd D, whose n odd factors are those of
+    falling(D+1, 2n) over its n even ones.  When the entries are all
+    integers or all half-integers, mu_j - mu_i >= i - j, so every ratio is
+    at least 1 and every partial sum a lower bound: the sum is returned as
+    soon as it passes ``stop``.  Otherwise it runs to the end and adds up
+    the 2-adic valuations of the ratios too.  The product is
+    prod_{j<i} (x_j - x_i) / (i - j) over the doubled entries x, an integer
+    (a determinant of binomials), over 2^(number of pairs), so a negative
+    valuation is exactly ``dim_weyl``'s remainder, and raises its ValueError.
+    """
+    xs = [m.doubled for m in mu]
+    one_class = len({x % 2 for x in xs}) == 1
+    total = scale = 0.0
+    val2 = 0
+    for d, gap, n in _run_ratios(xs):
+        den = log_falling(gap, n)
+        val2 += gap.bit_count() - (gap - n).bit_count()
+        if d % 2:
+            num = log_falling(d + 1, 2 * n) - log_falling((d + 1) // 2, n) - 2 * n * log(2)
+            val2 -= 2 * n
+        else:
+            num = log_falling(d // 2, n)
+            val2 -= (d // 2).bit_count() - (d // 2 - n).bit_count()
+        total += num - den
+        scale += num + den
+        if one_class and total > stop:
+            return total, scale
+    if val2 < 0:
+        raise ValueError("parameter is not strictly dominant")
+    return total, scale
 
 
 def _factorial_ratio(doubled, d2: int) -> int:

@@ -486,6 +486,40 @@ def test_dims_of_a_second_member_parameter_at_the_print_limit():
     assert code == 0 and payload["dim_pi_prime"] == payload["dim_pi_prime_formula"] == math.comb(15332, 9999)
 
 
+@pytest.mark.parametrize(
+    "entries, digits",
+    [
+        # the rho-string of U_10000 with its last entry moved, so mu' does
+        # not occur: one run of 9999 entries against one far entry
+        ([*range(5000, -4999, -1), -10334], "4301"),
+        # no two entries consecutive: the log sum stops past the limit, so the
+        # count is a lower bound; building the product did not finish in 20 s
+        ([*range(5998, 3000, -2)], "at least 4302"),
+    ],
+)
+def test_dims_weyl_past_the_print_limit_fails_at_once(entries, digits):
+    mu_prime = ",".join(map(str, entries))
+    code, payload = run_to_json("dims", "--l", "1", "--lp", str(len(entries)), f"--mu-prime={mu_prime}", timeout=10)
+    limit = sys.get_int_max_str_digits()
+    assert code == 1
+    assert payload == {"error": f"dim Pi' would have {digits} digits, past the print limit of {limit}"}
+
+
+def test_dim_weyl_guard_refuses_what_str_cannot_print(capsys):
+    # dim Pi of a first-member parameter of (U_n, U_n) with entries two apart
+    # is 2^(n(n-1)/2): 627 digits at n = 65 and 646 at n = 66
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, payload = run_cli(capsys, "dims", "--l", "65", "--lp", "65", f"--mu={','.join(map(str, range(0, -130, -2)))}")
+        assert code == 0 and payload == {"dim_pi": 2**2080}
+        code, payload = run_cli(capsys, "dims", "--l", "66", "--lp", "66", f"--mu={','.join(map(str, range(0, -132, -2)))}")
+        assert code == 1
+        assert payload == {"error": "dim Pi would have at least 642 digits, past the print limit of 640"}
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_overflowing_eigenvalue_writes_nothing_to_stderr(tmp_path):
     # w w^dagger is finite at 1e154, 2 pi times its eigenvalue is not
     mat = tmp_path / "w.json"

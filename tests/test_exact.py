@@ -14,6 +14,7 @@ from howedual.exact import (
     check_digits,
     log_falling,
     log_superfactorial,
+    print_limit_log,
     superfactorial,
     superfactorial_valuation2,
 )
@@ -76,6 +77,15 @@ def test_check_digits_refuses_only_what_is_past_the_limit():
         check_digits("x", (limit + 0.5) * log(10))
     with pytest.raises(ValueError, match="x would have more than 10\\^307 digits"):
         check_digits("x", inf)
+
+
+def test_a_lower_bound_past_the_print_limit_log_is_refused():
+    limit = sys.get_int_max_str_digits()
+    stop = print_limit_log()
+    assert stop == pytest.approx((limit + 1) * log(10))
+    # refused at any scale below 10^12, with the count marked as a bound
+    with pytest.raises(ValueError, match=f"x would have at least {limit + 2} digits, past the print limit of {limit}"):
+        check_digits("x", stop + 1e-9, 1e12, at_least=True)
 
 
 def test_rising_on_fractions():

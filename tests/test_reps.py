@@ -30,7 +30,7 @@ from howedual import (
     rho_pp,
     s0_apply,
 )
-from howedual.reps import dim_piprime_log, occurs_G_reason, occurs_Gprime_reason
+from howedual.reps import dim_piprime_log, dim_weyl_log, occurs_G_reason, occurs_Gprime_reason
 
 
 def H(text):
@@ -164,6 +164,52 @@ def test_dim_weyl_matches_the_fraction_product():
         assert dim_weyl(mu) == expected, xs
         ints += 1
     assert 1000 < ints < 3900
+
+
+def test_dim_weyl_log_matches_the_exact_dimension():
+    # the same seeded parameters as above, and more: log dim to a few ulps of
+    # the scale, or dim_weyl's ValueError (mixed classes) without building the
+    # product; a parameter of both classes can still have an integer product
+    rng = random.Random(16)
+    mixed_ints = 0
+    for _ in range(4000):
+        n = rng.randint(1, 12)
+        if rng.random() < 0.4:
+            xs = sorted(rng.sample(range(-60, 61), n), reverse=True)
+        else:
+            xs = [rng.randint(-30, 30)]
+            for _ in range(n - 1):
+                xs.append(xs[-1] - rng.choice([1, 2, 2, 2, 3, 4]))
+        mu = HCParam(map(HalfInt, xs))
+        try:
+            expected = dim_weyl(mu)
+        except ValueError:
+            with pytest.raises(ValueError, match="not strictly dominant"):
+                dim_weyl_log(mu)
+            continue
+        size, scale = dim_weyl_log(mu)
+        assert abs(size - log(expected)) <= 1e-12 * max(1.0, scale), xs
+        mixed_ints += len({x % 2 for x in xs}) == 2
+    assert dim_weyl(H("8,1/2,0")) == 15 and dim_weyl_log(H("8,1/2,0"))[0] == pytest.approx(log(15))
+    assert mixed_ints >= 1
+    # long runs, huge entries and gaps: ratios from log_falling's Stirling branch
+    for xs in ([*range(4000, 3000, -2), -5000], [*range(2 * 10**20, 2 * 10**20 - 200, -2), 0, -6]):
+        mu = HCParam(map(HalfInt, xs))
+        size, scale = dim_weyl_log(mu)
+        assert abs(size - log(dim_weyl(mu))) <= 1e-12 * scale
+
+
+def test_dim_weyl_log_stops_at_a_lower_bound():
+    # entries two apart, one class: every ratio is 2, so dim = 2^(n(n-1)/2);
+    # the sum stops at the first partial sum past the stop and never before
+    mu = HCParam(map(HalfInt, range(0, -4 * 300, -4)))
+    whole = 300 * 299 // 2 * log(2)
+    assert dim_weyl_log(mu)[0] == pytest.approx(whole)
+    partial = dim_weyl_log(mu, 100.0)[0]
+    assert 100.0 < partial <= 100.0 + log(2) + 1e-9
+    # both classes: no partial sum is a lower bound, so the sum runs to the end
+    mixed = HCParam(map(HalfInt, [*range(0, -4 * 300, -4), -1201]))
+    assert dim_weyl_log(mixed, 100.0)[0] == pytest.approx(log(dim_weyl(mixed)))
 
 
 def test_dim_piprime_frozen():
