@@ -10,7 +10,7 @@ from it here) loads numpy and is imported on first use.
 
 import importlib
 
-from .exact import HalfInt, MultiPoly, Rat, SymScalar, det, factorial, rising
+from .exact import MultiPoly, Rat, SymScalar, det, factorial, rising
 from .intertwine import (
     DistributionData,
     constants,

@@ -1,4 +1,4 @@
-"""Exact arithmetic: half-integers, monomials in sqrt(2), pi, i, and polynomials.
+"""Exact arithmetic: monomials in sqrt(2), pi, i, and polynomials.
 
 Every normalization constant handled by this library is a rational multiple
 of 2^(h/2) * pi^q * i^r with integer h, q, r, so it can be stored and
@@ -11,7 +11,8 @@ its float form are views built on first use.
 
 The module also sizes exact numbers before they are built: logs of
 factorial products taken from exact integers, and ``check_digits``, the
-one refusal of a number too long for ``str``.
+one refusal of a number too long for ``str``.  A half-integer is its
+doubled value, an int, read from text by ``parse_doubled``.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, fsum, gcd, inf, isfinite, lcm, lgamma, log, log1p, perm, pi, prod
+from math import factorial, fsum, gcd, inf, isfinite, lcm, lgamma, log, log1p, log10, perm, pi, prod
 from operator import add, mul
 from types import MappingProxyType
 
 __all__ = [
     "Rat",
-    "HalfInt",
     "SymScalar",
     "MultiPoly",
     "factorial",
@@ -38,7 +38,10 @@ __all__ = [
     "log_superfactorial",
     "superfactorial_valuation2",
     "check_digits",
+    "check_printable",
     "print_limit_log",
+    "parse_doubled",
+    "format_doubled",
 ]
 
 Rat = Fraction
@@ -161,6 +164,65 @@ def check_digits(what: str, log_size: float, scale: float = 0.0, at_least: bool 
         raise ValueError(f"{what} would have {bound}{digits} digits, past the print limit of {limit}")
 
 
+def check_printable(what: str, n: int):
+    """Refuse, with ValueError in ``check_digits``'s wording, an integer
+    that ``str`` would not print.  Exact, and cheap below 2^2000, which no
+    limit (at least 640 digits) refuses."""
+    if n.bit_length() > 2000:
+        limit = _print_limit()
+        if limit and abs(n) >= 10**limit:
+            raise ValueError(f"{what} would have {int(log10(abs(n))) + 1} digits, past the print limit of {limit}")
+
+
+def format_doubled(d: int) -> str:
+    """The half-integer d/2 as text: "3/2" for d = 3, "-2" for d = -4.
+    ValueError (``check_printable``) where ``str`` could not print it."""
+    n = d if d % 2 else d // 2
+    check_printable("entry", n)
+    return f"{d}/2" if d % 2 else str(n)
+
+
+def parse_doubled(text: str) -> int:
+    """Twice the half-integer ``text`` writes in a form ``Fraction`` reads:
+    3 for "3/2" or "1.5", -5 for "-5/2", 4 for "2".
+
+    ValueError for text that is not a half-integer, and for one that
+    ``format_doubled`` could not print back, told from the text before the
+    number is built: neither a run of digits that ``int`` would refuse nor
+    an exponent such as "1e10000000" costs more than reading it.
+    """
+    s = text.strip()
+    limit = _print_limit()
+    if limit and len(s) > limit:
+        runs = "".join(c if c.isdecimal() else " " for c in s.replace("_", "")).split()
+        longest = max(map(len, runs), default=0)
+        if longest > limit:
+            raise ValueError(f"entry would have {longest} digits, past the print limit of {limit}")
+    mantissa, sep, exp = s.lower().rpartition("e")
+    try:  # a misplaced sign or underscore is left for Fraction to refuse
+        e = float(exp) if limit and sep and exp.lstrip("+-").replace("_", "").isdecimal() else 0.0
+    except ValueError:
+        e = 0.0
+    try:
+        if abs(e) <= 4 * limit:
+            f = Fraction(s)
+        else:  # 10^|e| is not built: the value is 0, past the limit, or below 10^-limit
+            try:
+                f = Fraction(mantissa + "e0")
+            except ValueError:
+                f = Fraction(s)  # the same error, raised before the exponent is read
+            if f:
+                check_digits("entry", log(abs(f.numerator)) - log(f.denominator) + e * log(10))
+                f = None
+    except ZeroDivisionError:
+        f = None
+    if f is None or f.denominator not in (1, 2):
+        raise ValueError(f"not a half-integer: {text!r}")
+    d = f.numerator * (2 // f.denominator)
+    check_printable("entry", d if d % 2 else d // 2)
+    return d
+
+
 def det(rows) -> Fraction:
     """Exact determinant of a square matrix of ints or Fractions.
 
@@ -187,67 +249,6 @@ def det(rows) -> Fraction:
                 a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) / prev
         prev = pivot
     return sign * a[-1][-1] if n else Fraction(1)
-
-
-@dataclass(frozen=True, order=True)
-class HalfInt:
-    """A half-integer stored as its doubled value, so 3/2 has doubled = 3.
-
-    Addition and subtraction stay inside the half-integers, and integrality
-    is just a parity test on ``doubled``.
-    """
-
-    doubled: int
-
-    @classmethod
-    def from_int(cls, n: int) -> "HalfInt":
-        return cls(2 * n)
-
-    @classmethod
-    def parse(cls, text: str) -> "HalfInt":
-        """Parse "3/2", "-5/2", "1.5" or "2" into a half-integer."""
-        try:
-            f = Fraction(text.strip())
-        except ZeroDivisionError:
-            raise ValueError(f"not a half-integer: {text!r}") from None
-        if f.denominator not in (1, 2):
-            raise ValueError(f"not a half-integer: {text!r}")
-        return cls(f.numerator * (2 // f.denominator))
-
-    def is_integer(self) -> bool:
-        return self.doubled % 2 == 0
-
-    def _coerce(self, other) -> "HalfInt":
-        if isinstance(other, HalfInt):
-            return other
-        if isinstance(other, int):
-            return HalfInt(2 * other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return HalfInt(self.doubled + o.doubled)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return HalfInt(self.doubled - o.doubled)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.doubled)
-
-    def __str__(self) -> str:
-        if self.is_integer():
-            return str(self.doubled // 2)
-        return f"{self.doubled}/2"
-
-    def __repr__(self) -> str:
-        return f"HalfInt({self})"
 
 
 def _odd_part(fr: Fraction) -> tuple[Fraction, int]:

@@ -59,6 +59,7 @@ from .exact import (
     MultiPoly,
     SymScalar,
     check_digits,
+    check_printable,
     det,
     log_factorial,
     log_superfactorial,
@@ -147,6 +148,7 @@ def p_mu_product(mu: HCParam, pair: DualPair) -> MultiPoly:
 
 def _check_size(terms: int, what: str):
     if terms > MAX_TERMS:
+        check_printable(f"the term count of {what}", terms)
         raise ValueError(f"{what} would have {terms} terms, past the limit of {MAX_TERMS}")
 
 
@@ -363,7 +365,7 @@ def _central_turns(mu: HCParam) -> int:
     # 2 sum mu_j mod 4: the central character is (-1)^(sum mu_j) for
     # integral entry sums, and +-i for the half-integral sums of some
     # genuine parameters of odd length.
-    return sum(m.doubled for m in mu) % 4
+    return sum(mu.doubled) % 4
 
 
 def distribution_G(mu: HCParam, pair: DualPair) -> DistributionData:
@@ -386,7 +388,8 @@ def distribution_Gprime(mup: HCParam, pair: DualPair) -> DistributionData:
     l = pair.l
     if not occurs_Gprime(mup, pair):
         return DistributionData(SymScalar.zero(), MultiPoly.zero(l))
-    inv = _pipeline([(b, a) for a, b in ab_params(s0_apply(mup, pair)[:l], pair)], l)
+    head = HCParam.from_doubled(s0_apply(mup, pair)[:l])  # mu'_{l'-l+1} > ... > mu'_{l'}
+    inv = _pipeline([(b, a) for a, b in ab_params(head, pair)], l)
     pref = _prefactor(pair, _central_turns(mup)) * mysterious_factor(mup, pair)
     return DistributionData(pref, inv)
 

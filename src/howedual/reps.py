@@ -3,11 +3,12 @@
 Highest weights, Harish-Chandra parameters, the occurrence tests for both
 members, the aligning Weyl element s0, the correspondence map and its
 inverse, and two independent formulas for a dimension, Weyl's and the
-dim Pi' bracket, both on the doubled entries as integers.  ``DualPair``
-enforces l <= l' at construction, so no operation checks it again.
-Computations for the second member are expressed on the embedded Cartan of
-the first through s0 and the shifted half-integer delta: -(s0 mu')_j,
-j <= l, plays the role of a first-member entry with a and b exchanged.
+dim Pi' bracket.  Entries lie in delta + Z, delta = (l' - l + 1)/2, so a
+parameter holds them doubled, a tuple of ints, and all of this works on
+those ints.  ``DualPair`` enforces l <= l' at construction, so no operation
+checks it again.  Computations for the second member are expressed on the
+embedded Cartan of the first through s0 and delta: -(s0 mu')_j, j <= l,
+plays the role of a first-member entry with a and b exchanged.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, fsum, inf, log, perm, prod
+from operator import add, ge, gt, sub
 
-from .exact import HalfInt, SymScalar, log_factorial, log_falling
+from .exact import SymScalar, format_doubled, log_factorial, log_falling, parse_doubled
 
 __all__ = [
     "DualPair",
@@ -61,110 +63,106 @@ class DualPair:
             )
 
 
-def _coerce_halfint(v) -> HalfInt:
-    if isinstance(v, HalfInt):
-        return v
+def _doubled(v) -> int:
     if isinstance(v, int):
-        return HalfInt(2 * v)
+        return 2 * v
     if isinstance(v, str):
-        return HalfInt.parse(v)
+        return parse_doubled(v)
     if isinstance(v, Fraction):
         if v.denominator not in (1, 2):
             raise ValueError(f"not a half-integer: {v}")
-        return HalfInt(v.numerator * (2 // v.denominator))
+        return v.numerator * (2 // v.denominator)
     raise TypeError(f"cannot interpret {v!r} as a half-integer")
 
 
-class _HalfIntTuple:
-    """Shared container behaviour for weight-like tuples of half-integers."""
+class _DoubledTuple:
+    """Shared behaviour of the weight-like tuples, held as ``doubled``: twice
+    each entry, an int.  ``from_doubled`` is the one validating constructor."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("doubled",)
+    _in_order = gt
+    _order = "strictly"
 
     def __init__(self, entries):
-        es = tuple(_coerce_halfint(e) for e in entries)
-        if not es:
-            raise ValueError("parameter needs at least one entry")
-        self._validate(es)
-        self.entries: tuple[HalfInt, ...] = es
+        """Entries given as ints, Fractions or text such as "3/2"."""
+        self._set(tuple(map(_doubled, entries)))
 
-    def _validate(self, es):
-        raise NotImplementedError
+    @classmethod
+    def from_doubled(cls, doubled):
+        self = object.__new__(cls)
+        self._set(tuple(doubled))
+        return self
+
+    def _set(self, xs: tuple[int, ...]):
+        if not xs:
+            raise ValueError("parameter needs at least one entry")
+        if not all(map(self._in_order, xs, xs[1:])):
+            raise ValueError(f"entries must be {self._order} decreasing: {[format_doubled(x) for x in xs]}")
+        self.doubled = xs
 
     @classmethod
     def parse(cls, text: str):
-        return cls(part for part in text.split(","))
+        return cls.from_doubled(map(parse_doubled, text.split(",")))
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i) -> HalfInt:
-        return self.entries[i]
+        return len(self.doubled)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, type(self)):
-            return self.entries == other.entries
+            return self.doubled == other.doubled
         return NotImplemented
 
     def __hash__(self):
-        return hash((type(self).__name__, self.entries))
+        return hash((type(self).__name__, self.doubled))
 
     def to_json(self) -> list[str]:
-        return [str(e) for e in self.entries]
+        return list(map(format_doubled, self.doubled))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({', '.join(str(e) for e in self.entries)})"
+        return f"{type(self).__name__}({', '.join(self.to_json())})"
 
 
-class HCParam(_HalfIntTuple):
+class HCParam(_DoubledTuple):
     """A strictly decreasing tuple of half-integers (a Harish-Chandra parameter).
 
     Strict dominance is enforced at construction; Weyl-orbit inputs should
     be sorted (with sign tracking) before entry.
     """
 
-    def _validate(self, es):
-        for a, b in zip(es, es[1:]):
-            if not a > b:
-                raise ValueError(f"entries must be strictly decreasing: {[str(e) for e in es]}")
 
-
-class HighestWeight(_HalfIntTuple):
+class HighestWeight(_DoubledTuple):
     """A weakly decreasing tuple of half-integers (a highest weight)."""
 
-    def _validate(self, es):
-        for a, b in zip(es, es[1:]):
-            if not a >= b:
-                raise ValueError(f"entries must be weakly decreasing: {[str(e) for e in es]}")
+    _in_order = ge
+    _order = "weakly"
 
 
-def delta_of(pair: DualPair) -> HalfInt:
+def _delta2(pair: DualPair) -> int:
+    """2 delta = l' - l + 1."""
+    return pair.lp - pair.l + 1
+
+
+def delta_of(pair: DualPair) -> Fraction:
     """delta = (l' - l + 1)/2."""
-    return HalfInt(pair.lp - pair.l + 1)
+    return Fraction(_delta2(pair), 2)
 
 
 def rho(n: int) -> HCParam:
     """Half-sum of positive roots for U_n: ((n+1)/2 - j) for j = 1..n."""
     if n < 1:
         raise ValueError("rho needs n >= 1")
-    return HCParam(HalfInt(n + 1 - 2 * j) for j in range(1, n + 1))
+    return HCParam.from_doubled(range(n - 1, -n, -2))
 
 
-def _rho_pp_doubled(pair: DualPair) -> range:
-    """Twice the entries of ``rho_pp``: l'-l-1, l'-l-3, ..., l-l'+1."""
-    return range(pair.lp - pair.l - 1, pair.l - pair.lp, -2)
-
-
-def rho_pp(pair: DualPair) -> tuple[HalfInt, ...]:
-    """The rho-string (delta - j) for j = 1..l'-l of the group U_{l'-l}; empty for l = l'."""
-    return tuple(map(HalfInt, _rho_pp_doubled(pair)))
+def rho_pp(pair: DualPair) -> tuple[int, ...]:
+    """Twice the rho-string (delta - j) for j = 1..l'-l of the group U_{l'-l}:
+    l'-l-1, l'-l-3, ..., l-l'+1; empty for l = l'."""
+    return tuple(range(pair.lp - pair.l - 1, pair.l - pair.lp, -2))
 
 
 def is_genuine(hw: HighestWeight, pair: DualPair) -> bool:
     """Genuineness for the first member: every entry minus l'/2 is an integer."""
-    return all((e.doubled - pair.lp) % 2 == 0 for e in hw)
+    return all((x - pair.lp) % 2 == 0 for x in hw.doubled)
 
 
 def hc_param(hw: HighestWeight, pair: DualPair) -> HCParam:
@@ -173,16 +171,14 @@ def hc_param(hw: HighestWeight, pair: DualPair) -> HCParam:
         raise ValueError(f"highest weight must have {pair.l} entries")
     if not is_genuine(hw, pair):
         raise ValueError("highest weight is not genuine: entries - l'/2 must be integers")
-    r = rho(pair.l)
-    return HCParam(a + b for a, b in zip(hw, r))
+    return HCParam.from_doubled(map(add, hw.doubled, rho(pair.l).doubled))
 
 
 def hw_of(mu: HCParam, pair: DualPair) -> HighestWeight:
     """Inverse of ``hc_param``: lambda = mu - rho, validated for genuineness."""
     if len(mu) != pair.l:
         raise ValueError(f"parameter must have {pair.l} entries")
-    r = rho(pair.l)
-    hw = HighestWeight(a - b for a, b in zip(mu, r))
+    hw = HighestWeight.from_doubled(map(sub, mu.doubled, rho(pair.l).doubled))
     if not is_genuine(hw, pair):
         raise ValueError("parameter does not come from a genuine highest weight")
     return hw
@@ -192,7 +188,7 @@ def _delta_reason(doubled, pair: DualPair) -> str | None:
     """Why not every 2x in ``doubled`` has x in delta + Z_{>=0}: ``"parity"``
     when some x is not in delta + Z, ``"not-occurring"`` when one of the
     right class lies below delta; None when all of them lie there."""
-    d2 = delta_of(pair).doubled
+    d2 = _delta2(pair)
     if any((x - d2) % 2 for x in doubled):
         return "parity"
     if any(x < d2 for x in doubled):
@@ -207,7 +203,7 @@ def occurs_G_reason(mu: HCParam, pair: DualPair) -> tuple[bool, str | None]:
     """
     if len(mu) != pair.l:
         raise ValueError(f"parameter must have {pair.l} entries, got {len(mu)}")
-    reason = _delta_reason([m.doubled for m in mu], pair)
+    reason = _delta_reason(mu.doubled, pair)
     return reason is None, reason
 
 
@@ -215,13 +211,13 @@ def occurs_G(mu: HCParam, pair: DualPair) -> bool:
     return occurs_G_reason(mu, pair)[0]
 
 
-def s0_apply(mup: HCParam, pair: DualPair) -> tuple[HalfInt, ...]:
-    """The aligning Weyl element, mu' rotated by l'-l places: entry j is
-    mu'_{l'-l+j} for j <= l and mu'_{j-l} for j > l."""
+def s0_apply(mup: HCParam, pair: DualPair) -> tuple[int, ...]:
+    """The aligning Weyl element on twice the entries, mu' rotated by l'-l
+    places: entry j is mu'_{l'-l+j} for j <= l and mu'_{j-l} for j > l."""
     if len(mup) != pair.lp:
         raise ValueError(f"parameter must have {pair.lp} entries, got {len(mup)}")
     k = pair.lp - pair.l
-    return mup[k:] + mup[:k]
+    return mup.doubled[k:] + mup.doubled[:k]
 
 
 def occurs_Gprime_reason(mup: HCParam, pair: DualPair) -> tuple[bool, str | None]:
@@ -232,10 +228,10 @@ def occurs_Gprime_reason(mup: HCParam, pair: DualPair) -> tuple[bool, str | None
     at l = l'.
     """
     s = s0_apply(mup, pair)
-    reason = _delta_reason([-m.doubled for m in s[: pair.l]], pair)
+    reason = _delta_reason([-x for x in s[: pair.l]], pair)
     if reason:
         return False, reason
-    if [m.doubled for m in s[pair.l :]] != list(_rho_pp_doubled(pair)):
+    if s[pair.l :] != rho_pp(pair):
         return False, "tail"
     return True, None
 
@@ -252,9 +248,7 @@ def correspond(mu: HCParam, pair: DualPair) -> HCParam:
     """
     if not occurs_G(mu, pair):
         raise ValueError("parameter does not occur; no partner exists")
-    head = rho_pp(pair)
-    tail = tuple(-m for m in reversed(mu.entries))
-    out = HCParam(head + tail)
+    out = HCParam.from_doubled(rho_pp(pair) + tuple(-x for x in reversed(mu.doubled)))
     assert occurs_Gprime(out, pair)
     return out
 
@@ -263,8 +257,7 @@ def correspond_back(mup: HCParam, pair: DualPair) -> HCParam:
     """Inverse of ``correspond``: mu_j = -mu'_{l'+1-j}."""
     if not occurs_Gprime(mup, pair):
         raise ValueError("parameter does not occur; no partner exists")
-    l, lp = pair.l, pair.lp
-    return HCParam(-mup[lp - j] for j in range(1, l + 1))
+    return HCParam.from_doubled(-x for x in reversed(mup.doubled[pair.lp - pair.l :]))
 
 
 def _run_ratios(xs):
@@ -287,7 +280,7 @@ def dim_weyl(mu: HCParam) -> int:
     the product is not a positive integer.
     """
     num = den = 1
-    for d, gap, n in _run_ratios([m.doubled for m in mu]):
+    for d, gap, n in _run_ratios(mu.doubled):
         num *= prod(range(d, d - 2 * n, -2))
         den *= perm(gap, n) << n
     dim, rem = divmod(num, den)
@@ -312,7 +305,7 @@ def dim_weyl_log(mu: HCParam, stop: float = inf) -> tuple[float, float]:
     (a determinant of binomials), over 2^(number of pairs), so a negative
     valuation is exactly ``dim_weyl``'s remainder, and raises its ValueError.
     """
-    xs = [m.doubled for m in mu]
+    xs = mu.doubled
     one_class = len({x % 2 for x in xs}) == 1
     total = scale = 0.0
     val2 = 0
@@ -354,8 +347,8 @@ def dim_piprime(mup: HCParam, pair: DualPair) -> int:
     if not occurs_Gprime(mup, pair):
         raise ValueError("parameter does not occur")
     l, lp = pair.l, pair.lp
-    xs = [-m.doubled for m in mup[lp - l :]]  # 2 mu_l, ..., 2 mu_1
-    num = _factorial_ratio(xs, delta_of(pair).doubled) * prod(y - x for x, y in combinations(xs, 2))
+    xs = [-x for x in mup.doubled[lp - l :]]  # 2 mu_l, ..., 2 mu_1
+    num = _factorial_ratio(xs, _delta2(pair)) * prod(y - x for x, y in combinations(xs, 2))
     dim, rem = divmod(num, prod(map(factorial, range(lp - l, lp))) << (l * (l - 1) // 2))
     if rem:
         raise ValueError("dimension formula did not produce an integer")
@@ -372,9 +365,9 @@ def dim_piprime_log(mup: HCParam, pair: DualPair) -> tuple[float, float]:
     entry of any size is taken without overflow or cancellation, in
     O(l^2) float operations.
     """
-    tail, d2 = mup[pair.lp - pair.l :], delta_of(pair).doubled
-    ratios = fsum(log_falling((d2 - x.doubled) // 2 - 1, d2 - 1) for x in tail)
-    roots = [log(abs(x.doubled - y.doubled)) - log(2) for x, y in combinations(tail, 2)]
+    tail, d2 = mup.doubled[pair.lp - pair.l :], _delta2(pair)
+    ratios = fsum(log_falling((d2 - x) // 2 - 1, d2 - 1) for x in tail)
+    roots = [log(abs(x - y)) - log(2) for x, y in combinations(tail, 2)]
     facts = fsum(map(log_factorial, range(pair.lp - pair.l, pair.lp)))
     return ratios + fsum(roots) - facts, ratios + fsum(map(abs, roots)) + facts
 
@@ -383,12 +376,12 @@ def ab_params(mu: HCParam, pair: DualPair) -> tuple[tuple[int, int], ...]:
     """The integer pairs a_j = -mu_j - delta + 1, b_j = mu_j - delta + 1 of l entries mu_j."""
     if len(mu) != pair.l:
         raise ValueError(f"parameter must have {pair.l} entries")
-    d2 = delta_of(pair).doubled
+    d2 = _delta2(pair)
     out = []
-    for m in mu:
-        if (m.doubled + d2) % 2:
-            raise ValueError(f"entry {m} has the wrong parity class for delta = {delta_of(pair)}")
-        out.append(((2 - d2 - m.doubled) // 2, (2 - d2 + m.doubled) // 2))
+    for x in mu.doubled:
+        if (x + d2) % 2:
+            raise ValueError(f"entry {format_doubled(x)} has the wrong parity class for delta = {format_doubled(d2)}")
+        out.append(((2 - d2 - x) // 2, (2 - d2 + x) // 2))
     return tuple(out)
 
 
@@ -400,5 +393,5 @@ def mysterious_factor(mup: HCParam, pair: DualPair) -> SymScalar:
     """
     if not occurs_Gprime(mup, pair):
         raise ValueError("parameter does not occur")
-    xs = [-m.doubled for m in s0_apply(mup, pair)[: pair.l]]
-    return SymScalar(_factorial_ratio(xs, delta_of(pair).doubled))
+    xs = [-x for x in s0_apply(mup, pair)[: pair.l]]
+    return SymScalar(_factorial_ratio(xs, _delta2(pair)))

@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import exp, factorial, fsum, inf, isfinite, pi, prod
 
-from howedual import DualPair, HCParam, MultiPoly, delta_of
+from howedual import DualPair, HCParam, MultiPoly
 
 
 def derivative(p: MultiPoly) -> MultiPoly:
@@ -42,16 +42,9 @@ def occurring_params(pair: DualPair, max_doubled: int = 13) -> list[HCParam]:
     Occurrence forces entries into delta + Z_{>=0}, so the candidates are
     the strictly decreasing tuples drawn from that lattice slice.
     """
-    d = delta_of(pair)
-    vals = []
-    v = d
-    while v.doubled <= max_doubled:
-        vals.append(v)
-        v = v + 1
-    return [
-        HCParam(combo)
-        for combo in combinations(sorted(vals, reverse=True), pair.l)
-    ]
+    d2 = pair.lp - pair.l + 1  # 2 delta
+    top = max_doubled - (max_doubled - d2) % 2
+    return [HCParam.from_doubled(combo) for combo in combinations(range(top, d2 - 1, -2), pair.l)]
 
 
 def all_pairs(max_l: int = 3, max_lp: int = 5) -> list[DualPair]:
@@ -64,7 +57,7 @@ def dim_weyl_reference(mu) -> int:
     """Weyl's formula as ``reps.dim_weyl`` must reproduce it: the product of
     the l(l-1)/2 Fraction differences mu_j - mu_k over 0! 1! ... (l-1)!,
     with ValueError where that is not a positive integer."""
-    out = prod((Fraction(x.doubled - y.doubled, 2) for x, y in combinations(mu, 2)), start=Fraction(1))
+    out = prod((Fraction(x - y, 2) for x, y in combinations(mu.doubled, 2)), start=Fraction(1))
     out /= prod(map(factorial, range(len(mu))))
     if out.denominator != 1 or out <= 0:
         raise ValueError("parameter is not strictly dominant")

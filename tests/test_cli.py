@@ -13,7 +13,7 @@ import pytest
 
 from howedual import DualPair, HCParam, correspond
 from howedual.cli import main
-from howedual.reps import _HalfIntTuple
+from howedual.reps import _DoubledTuple
 
 
 def _reject_constant(name):
@@ -391,7 +391,7 @@ def test_dim_piprime_is_refused_before_a_parameter_is_serialized(capsys, monkeyp
     def unreachable(self):
         raise AssertionError("a parameter was serialized before dim Pi' was refused")
 
-    monkeypatch.setattr(_HalfIntTuple, "to_json", unreachable)
+    monkeypatch.setattr(_DoubledTuple, "to_json", unreachable)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:

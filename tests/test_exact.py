@@ -1,4 +1,4 @@
-"""Half-integer, symbolic-scalar and exact-polynomial arithmetic."""
+"""Doubled half-integers, symbolic-scalar and exact-polynomial arithmetic."""
 
 import random
 import sys
@@ -8,12 +8,15 @@ from math import gcd, inf, isclose, log, perm, pi
 
 import pytest
 
-from howedual import HalfInt, MultiPoly, SymScalar, det, factorial, rising
+from howedual import MultiPoly, SymScalar, det, factorial, rising
 from howedual.exact import (
     _odd_part,
     check_digits,
+    check_printable,
+    format_doubled,
     log_falling,
     log_superfactorial,
+    parse_doubled,
     print_limit_log,
     superfactorial,
     superfactorial_valuation2,
@@ -148,29 +151,76 @@ def test_det_zero_pivot_row_swap():
         assert det(rows) == _leibniz(rows)
 
 
-def test_halfint_parse_and_str():
-    assert HalfInt.parse("3/2") == HalfInt(3)
-    assert HalfInt.parse("1.5") == HalfInt(3)
-    assert HalfInt.parse("-5/2") == HalfInt(-5)
-    assert HalfInt.parse("2") == HalfInt(4)
-    assert str(HalfInt(3)) == "3/2"
-    assert str(HalfInt(4)) == "2"
-    assert str(HalfInt(-4)) == "-2"
-    with pytest.raises(ValueError):
-        HalfInt.parse("1/3")
-    with pytest.raises(ValueError):
-        HalfInt.parse("1/0")
+def test_parse_and_format_doubled():
+    assert parse_doubled("3/2") == parse_doubled("1.5") == 3
+    assert parse_doubled("-5/2") == -5
+    assert parse_doubled("2") == 4
+    assert parse_doubled(" 15e-1 ") == 3
+    assert format_doubled(3) == "3/2"
+    assert format_doubled(4) == "2"
+    assert format_doubled(-4) == "-2"
+    with pytest.raises(ValueError, match="not a half-integer: '1/3'"):
+        parse_doubled("1/3")
+    with pytest.raises(ValueError, match="not a half-integer: '1/0'"):
+        parse_doubled("1/0")
+    with pytest.raises(ValueError, match="Invalid literal for Fraction: 'x'"):
+        parse_doubled("x")
 
 
-def test_halfint_arithmetic():
-    a = HalfInt.parse("3/2")
-    b = HalfInt.parse("1/2")
-    assert a + b == HalfInt.from_int(2)
-    assert a - b == HalfInt.from_int(1)
-    assert (a + 1) == HalfInt(5)
-    assert -a == HalfInt(-3)
+def test_doubled_arithmetic():
+    # half-integers add, subtract, negate and compare as their doubled ints
+    a, b = parse_doubled("3/2"), parse_doubled("1/2")
+    assert format_doubled(a + b) == "2"
+    assert format_doubled(a - b) == "1"
+    assert format_doubled(a + 2 * 1) == "5/2"
+    assert format_doubled(-a) == "-3/2"
     assert a > b
-    assert not a.is_integer()
+    assert a % 2  # not an integer
+
+
+def test_parse_doubled_sizes_the_text_before_building_it():
+    limit = sys.get_int_max_str_digits()
+    past = f"entry would have {limit + 1} digits, past the print limit of {limit}"
+    # the longest entry that prints, and one digit more: refused in these words, not Python's
+    assert parse_doubled("9" * limit) == 2 * (10**limit - 1)
+    for text in ("9" * (limit + 1), "1" + "0" * limit, f"1e{limit}", f"0.1e{limit + 1}"):
+        with pytest.raises(ValueError, match=f"^{past}$"):
+            parse_doubled(text)
+    # a half-integer prints as its doubled value over 2, which can have one digit more
+    assert format_doubled(parse_doubled(f"{'4' * limit}.5")) == f"{'8' * (limit - 1)}9/2"
+    with pytest.raises(ValueError, match=f"^{past}$"):
+        parse_doubled(f"{'5' * limit}.5")
+    # an exponent is never applied past the limit: each of these answers at once
+    with pytest.raises(ValueError, match="^entry would have 10000001 digits"):
+        parse_doubled("1e10000000")
+    with pytest.raises(ValueError, match=r"^entry would have more than 10\^307 digits"):
+        parse_doubled("1e" + "9" * 400)
+    with pytest.raises(ValueError, match="^not a half-integer: '1e-10000000'$"):
+        parse_doubled("1e-10000000")
+    assert parse_doubled("0e10000000") == parse_doubled("-0.0e-10000000") == 0
+    assert parse_doubled(f"5{'0' * (limit - 1)}e-{limit}") == 1
+    with pytest.raises(ValueError, match="^Invalid literal for Fraction: '1/2e10000000'$"):
+        parse_doubled("1/2e10000000")
+    # a run of digits past the limit, which int() would refuse in Python's words
+    with pytest.raises(ValueError, match=f"^entry would have {limit + 1} digits"):
+        parse_doubled("1/" + "3" * (limit + 1))
+
+
+def test_check_printable_refuses_exactly_what_str_cannot_print():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        check_printable("n", -(10**640 - 1))
+        str(10**640 - 1)
+        with pytest.raises(ValueError, match="^n would have 641 digits, past the print limit of 640$"):
+            check_printable("n", 10**640)
+        with pytest.raises(ValueError, match="^entry would have 641 digits"):
+            format_doubled(2 * 10**640)
+        assert format_doubled(10**640 - 1) == f"{10**640 - 1}/2"
+        with pytest.raises(ValueError, match="^entry would have 641 digits"):
+            format_doubled(10**640 + 1)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_symscalar_canonical_form():

@@ -11,7 +11,6 @@ import pytest
 from conftest import all_pairs, dim_weyl_reference, occurring_params
 from howedual import (
     DualPair,
-    HalfInt,
     HCParam,
     HighestWeight,
     SymScalar,
@@ -53,9 +52,9 @@ def test_hcparam_requires_strict_dominance():
 
 
 def test_delta_values():
-    assert delta_of(DualPair(1, 2)) == HalfInt.from_int(1)
-    assert delta_of(DualPair(2, 2)) == HalfInt.parse("1/2")
-    assert delta_of(DualPair(1, 5)) == HalfInt.parse("5/2")
+    assert delta_of(DualPair(1, 2)) == 1
+    assert delta_of(DualPair(2, 2)) == Fraction(1, 2)
+    assert delta_of(DualPair(1, 5)) == Fraction(5, 2)
 
 
 def test_rho():
@@ -65,8 +64,10 @@ def test_rho():
 
 
 def test_rho_pp():
-    assert rho_pp(DualPair(1, 2)) == (HalfInt.from_int(0),)
-    assert rho_pp(DualPair(1, 3)) == (HalfInt.parse("1/2"), HalfInt.parse("-1/2"))
+    # twice the entries
+    assert rho_pp(DualPair(1, 2)) == (0,)
+    assert rho_pp(DualPair(1, 3)) == (1, -1)
+    assert rho_pp(DualPair(1, 5)) == (3, 1, -1, -3)
     assert rho_pp(DualPair(2, 2)) == ()
 
 
@@ -93,14 +94,11 @@ def test_occurs_G():
 
 
 def test_s0_apply():
-    assert s0_apply(H("0,-2"), DualPair(1, 2)) == (HalfInt.from_int(-2), HalfInt.from_int(0))
+    # on twice the entries
+    assert s0_apply(H("0,-2"), DualPair(1, 2)) == (-4, 0)
     mu = H("3,1,-1,-3")
-    assert s0_apply(mu, DualPair(4, 4)) == mu.entries  # identity when l = l'
-    assert s0_apply(H("1/2,-1/2,-5/2"), DualPair(1, 3)) == (
-        HalfInt.parse("-5/2"),
-        HalfInt.parse("1/2"),
-        HalfInt.parse("-1/2"),
-    )
+    assert s0_apply(mu, DualPair(4, 4)) == mu.doubled == (6, 2, -2, -6)  # identity when l = l'
+    assert s0_apply(H("1/2,-1/2,-5/2"), DualPair(1, 3)) == (-5, 1, -1)
 
 
 def test_occurs_Gprime():
@@ -114,12 +112,12 @@ def test_occurs_Gprime():
 def test_occurs_Gprime_at_equal_ranks_is_occurs_G_of_the_partner():
     # at l = l' the second-member test on mu' is the first-member test on
     # -(mu' reversed), reason included; every mu' with |mu'_j| <= 13/2
-    entries = [HalfInt(d) for d in range(13, -14, -1)]
+    entries = range(13, -14, -1)
     for l in range(1, 5):
         pair = DualPair(l, l)
         for combo in combinations(entries, l):
-            mup = HCParam(combo)
-            mu = HCParam(-m for m in reversed(combo))
+            mup = HCParam.from_doubled(combo)
+            mu = HCParam.from_doubled(-x for x in reversed(combo))
             assert occurs_Gprime_reason(mup, pair) == occurs_G_reason(mu, pair)
 
 
@@ -154,7 +152,7 @@ def test_dim_weyl_matches_the_fraction_product():
             xs = [rng.randint(-30, 30)]
             for _ in range(n - 1):
                 xs.append(xs[-1] - rng.choice([1, 2, 2, 2, 3, 4]))
-        mu = HCParam(map(HalfInt, xs))
+        mu = HCParam.from_doubled(xs)
         try:
             expected = dim_weyl_reference(mu)
         except ValueError:
@@ -180,7 +178,7 @@ def test_dim_weyl_log_matches_the_exact_dimension():
             xs = [rng.randint(-30, 30)]
             for _ in range(n - 1):
                 xs.append(xs[-1] - rng.choice([1, 2, 2, 2, 3, 4]))
-        mu = HCParam(map(HalfInt, xs))
+        mu = HCParam.from_doubled(xs)
         try:
             expected = dim_weyl(mu)
         except ValueError:
@@ -194,7 +192,7 @@ def test_dim_weyl_log_matches_the_exact_dimension():
     assert mixed_ints >= 1
     # long runs, huge entries and gaps: ratios from log_falling's Stirling branch
     for xs in ([*range(4000, 3000, -2), -5000], [*range(2 * 10**20, 2 * 10**20 - 200, -2), 0, -6]):
-        mu = HCParam(map(HalfInt, xs))
+        mu = HCParam.from_doubled(xs)
         size, scale = dim_weyl_log(mu)
         assert abs(size - log(dim_weyl(mu))) <= 1e-12 * scale
 
@@ -202,13 +200,13 @@ def test_dim_weyl_log_matches_the_exact_dimension():
 def test_dim_weyl_log_stops_at_a_lower_bound():
     # entries two apart, one class: every ratio is 2, so dim = 2^(n(n-1)/2);
     # the sum stops at the first partial sum past the stop and never before
-    mu = HCParam(map(HalfInt, range(0, -4 * 300, -4)))
+    mu = HCParam.from_doubled(range(0, -4 * 300, -4))
     whole = 300 * 299 // 2 * log(2)
     assert dim_weyl_log(mu)[0] == pytest.approx(whole)
     partial = dim_weyl_log(mu, 100.0)[0]
     assert 100.0 < partial <= 100.0 + log(2) + 1e-9
     # both classes: no partial sum is a lower bound, so the sum runs to the end
-    mixed = HCParam(map(HalfInt, [*range(0, -4 * 300, -4), -1201]))
+    mixed = HCParam.from_doubled([*range(0, -4 * 300, -4), -1201])
     assert dim_weyl_log(mixed, 100.0)[0] == pytest.approx(log(dim_weyl(mixed)))
 
 
@@ -270,7 +268,7 @@ def test_ab_params_integrality_randomized():
         mu = HCParam([d + o for o in offsets])
         for a, b in ab_params(mu, pair):
             assert isinstance(a, int) and isinstance(b, int)
-            assert a + b == 2 - d.doubled
+            assert a + b == 2 - 2 * d
 
 
 def test_occurrence_iff_positive_b():
@@ -292,7 +290,7 @@ def test_correspondence_involution_exhaustive():
             assert occurs_Gprime(mup, pair)
             assert correspond_back(mup, pair) == mu
             # strict dominance of the image
-            assert all(a > b for a, b in zip(mup.entries, mup.entries[1:]))
+            assert all(a > b for a, b in zip(mup.doubled, mup.doubled[1:]))
 
 
 def test_dimension_identity_exhaustive():
@@ -321,8 +319,8 @@ def test_central_characters_of_partners():
     for pair in all_pairs():
         for mu in occurring_params(pair):
             mup = correspond(mu, pair)
-            s = sum(m.doubled for m in mu)
-            sp = sum(m.doubled for m in mup)
+            s = sum(mu.doubled)
+            sp = sum(mup.doubled)
             assert sp == -s
 
 
