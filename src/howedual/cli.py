@@ -21,6 +21,7 @@ bracket, ``reps.dim_weyl_log`` for every Weyl dimension); the library's
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -262,7 +263,9 @@ def _add_mu_args(sub, with_side=False):
         sub.add_argument("--side", choices=("g", "gprime"), default="g")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every ``main`` call."""
     parser = _Parser(
         prog="howedual",
         description="Exact Howe-duality data for the dual pair (U_l, U_l').",

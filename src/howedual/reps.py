@@ -248,9 +248,7 @@ def correspond(mu: HCParam, pair: DualPair) -> HCParam:
     """
     if not occurs_G(mu, pair):
         raise ValueError("parameter does not occur; no partner exists")
-    out = HCParam.from_doubled(rho_pp(pair) + tuple(-x for x in reversed(mu.doubled)))
-    assert occurs_Gprime(out, pair)
-    return out
+    return HCParam.from_doubled(rho_pp(pair) + tuple(-x for x in reversed(mu.doubled)))
 
 
 def correspond_back(mup: HCParam, pair: DualPair) -> HCParam:

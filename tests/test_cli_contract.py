@@ -9,7 +9,6 @@ strings, through occurs, correspond, dims and dist on both members.
 """
 
 import contextlib
-import functools
 import io
 import json
 import random
@@ -102,9 +101,7 @@ def _run(argv):
     return code, out.getvalue()
 
 
-def test_every_drawn_input_keeps_the_cli_contract(monkeypatch):
-    # one parser for the whole draw: building it is three quarters of a run
-    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+def test_every_drawn_input_keeps_the_cli_contract():
     rng = random.Random(SEED)
     codes = set()
     for argv in FIXED + [_draw(rng) for _ in range(COUNT)]:

@@ -287,6 +287,7 @@ def test_correspondence_involution_exhaustive():
     for pair in all_pairs():
         for mu in occurring_params(pair):
             mup = correspond(mu, pair)
+            # correspond does not re-check its image; this is that check
             assert occurs_Gprime(mup, pair)
             assert correspond_back(mup, pair) == mu
             # strict dominance of the image

@@ -127,10 +127,15 @@ def _serial_mean(rng, samples, values):
 
 
 def _gaussian_vandermonde_one_shot(l, c, rng, samples):
-    """The estimate with every block drawn in one call and no threads."""
+    """The estimate with every block drawn in one call and no threads: one
+    Gamma(c+1) value per row, q evaluated by numpy's Horner from the reference
+    coefficients; at l = 1, q = 1 and nothing is drawn."""
+    q = _given_one(l, c)
 
     def values(g, m):
-        return verify._conditional_vandermonde(g.gamma(shape=c + 1, scale=1.0, size=(m, l - 1)), c)
+        if l == 1:
+            return np.ones(m)
+        return np.polyval(q[::-1], g.gamma(shape=c + 1, scale=1.0, size=m))
 
     return _serial_mean(rng, samples, values) * float(factorial(c)) ** l
 
@@ -153,9 +158,10 @@ def test_chunked_threaded_estimates_are_bit_identical():
     # partial chunk
     n = 300_000
     assert [m for _, m in block_layout(n)][-1] % 8192 != 0
-    for c in range(4):
-        _, rep = gaussian_vandermonde(3, c, RngStream(11), samples=n)
-        assert rep.estimate == _gaussian_vandermonde_one_shot(3, c, RngStream(11), n)
+    for l in (1, 2, 3):
+        for c in range(4):
+            _, rep = gaussian_vandermonde(l, c, RngStream(11), samples=n)
+            assert rep.estimate == _gaussian_vandermonde_one_shot(l, c, RngStream(11), n)
     for seed in (0, 5):
         rep = cayley_volume_check(2, n, RngStream(seed))
         assert rep.estimate == _cayley_volume_one_shot(RngStream(seed), n)
@@ -243,57 +249,71 @@ def _gamma_mean(poly, c):
     return sum(coef * prod(rising(c + 1, e) for e in exps) for exps, coef in poly.terms.items())
 
 
-def _conditional_polynomial(l, c):
-    """prod_{j<k}(y_j - y_k)^2 over l coordinates with the last one, Y, integrated
-    out term by term (Y^k -> (c+1)_k): a polynomial in the first l - 1."""
+def _integrated_out(l, c, kept):
+    """prod_{j<k}(y_j - y_k)^2 over l coordinates with all but the first ``kept``
+    integrated out term by term (Y^k -> (c+1)_k): a polynomial in ``kept``."""
     full = _vandermonde_squared(l)
     terms = {}
     for exps, coef in full.terms.items():
-        terms[exps[:-1]] = terms.get(exps[:-1], 0) + coef * rising(c + 1, exps[-1])
-    return MultiPoly(l - 1, terms)
+        weight = prod(rising(c + 1, e) for e in exps[kept:])
+        terms[exps[:kept]] = terms.get(exps[:kept], 0) + coef * weight
+    return MultiPoly(kept, terms)
+
+
+def _given_one(l, c):
+    """The float coefficients q_0..q_{2l-2} of the reference one-draw integrand."""
+    poly = _integrated_out(l, c, 1)
+    return [float(poly.coefficient((k,))) for k in range(2 * l - 1)]
 
 
 def test_conditional_integrand_matches_the_exact_expectation():
-    # dyadic points are exact floats, so only the integrand's arithmetic is compared;
-    # coincident and zero coordinates included
-    rows = {
-        0: [[]] * 3,
-        1: [[0.0], [1.0], [2.5], [0.125], [9.75]],
-        2: [[0.0, 0.0], [1.5, 1.5], [0.0, 2.25], [0.75, 3.5], [7.125, 0.5], [12.0, 0.25]],
-        3: [[0.0, 0.0, 0.0], [1.0, 1.0, 3.0], [0.0, 2.5, 2.5], [0.5, 1.75, 4.0], [6.0, 0.25, 11.5]],
-    }
-    for n, points in rows.items():
-        y = np.array(points, dtype=float).reshape(len(points), n)
+    # dyadic points are exact floats, so only the integrand's arithmetic is
+    # compared; zero and huge values included
+    points = [0.0, 0.125, 1.0, 1.5, 2.5, 3.0, 9.75, 12.0, 1000.25, 2.0**30, 2.0**60]
+    y = np.array(points)
+    for l in range(1, 5):
         for c in range(4):
-            poly = _conditional_polynomial(n + 1, c)
-            got = verify._conditional_vandermonde(y, c)
-            for row, value in zip(points, got):
-                z = [Fraction(v) for v in row]
-                want = sum(coef * prod(map(pow, z, exps)) for exps, coef in poly.terms.items())
-                assert abs(value - want) <= 1e-12 * abs(want), (n, c, row)
+            poly = _integrated_out(l, c, 1)
+            q = verify._vandermonde_given_one(l, c)
+            assert q == [poly.coefficient((k,)) for k in range(2 * l - 1)], (l, c)
+            got = verify._horner([float(a) for a in q], y)
+            for v, value in zip(points, got):
+                z = Fraction(v)
+                want = sum(coef * z**d for (d,), coef in poly.terms.items())
+                assert want > 0
+                assert abs(value - want) <= 1e-12 * want, (l, c, v)
 
 
 def test_conditional_estimator_is_unbiased():
-    # integrating one coordinate out keeps the mean: E over the other l - 1
-    # of the conditional polynomial is the whole moment over c!^l
+    # integrating coordinates out keeps the mean: E over the drawn one of
+    # the one-draw polynomial, and over the l - 1 drawn ones of the
+    # one-coordinate-out polynomial, is the whole moment over c!^l
     for l in range(1, 5):
         for c in range(4):
             want = Fraction(gaussian_vandermonde_exact(l, c), factorial(c) ** l)
-            assert _gamma_mean(_conditional_polynomial(l, c), c) == want
+            assert _gamma_mean(_integrated_out(l, c, 1), c) == want
+            assert _gamma_mean(_integrated_out(l, c, l - 1), c) == want
 
 
 def test_conditional_estimator_variance_at_the_suite_cases():
     # exact per-sample variances from Gamma moments: at every run_suite case
-    # the conditional estimator's is at most 0.40 of the plain one's, which
-    # draws all l coordinates
+    # the one-draw estimator's is at most that of integrating out only the
+    # last coordinate, which is at most 0.40 of the plain one's, which draws
+    # all l coordinates
     for l in (1, 2, 3):
         for c in range(4):
             plain = _vandermonde_squared(l)
-            cond = _conditional_polynomial(l, c)
+            last_out = _integrated_out(l, c, l - 1)
+            one_draw = _integrated_out(l, c, 1)
             mean = _gamma_mean(plain, c)
             var_plain = _gamma_mean(plain * plain, c) - mean**2
-            var_cond = _gamma_mean(cond * cond, c) - mean**2
-            assert 0 <= var_cond <= Fraction(2, 5) * var_plain, (l, c)
+            var_last_out = _gamma_mean(last_out * last_out, c) - mean**2
+            var_one_draw = _gamma_mean(one_draw * one_draw, c) - mean**2
+            assert 0 <= var_one_draw <= var_last_out <= Fraction(2, 5) * var_plain, (l, c)
+    # the relative std quoted for the budget of the worst case, (l, c) = (3, 0)
+    one_draw = _integrated_out(3, 0, 1)
+    mean = _gamma_mean(one_draw, 0)
+    assert 6.32 < float((_gamma_mean(one_draw * one_draw, 0) - mean**2) / mean**2) ** 0.5 < 6.33
 
 
 def test_vandermonde_identity_small():
