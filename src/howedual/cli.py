@@ -4,17 +4,18 @@ Exit codes: 0 success, 1 domain error (e.g. a non-occurring parameter where
 occurrence is required, or a failed occurrence query), 2 usage error
 (including argparse errors and parameter text that is not a parameter),
 3 verification failure.  Output is a single UTF-8 JSON document per
-invocation and is byte-identical for identical argv and seed; the
-environment variable HD_SEED overrides --seed.
+invocation and is byte-identical for identical argv; ``verify`` takes its
+seed from --seed alone.
 
 Only the numeric subcommands load numpy: ``eval``, ``dist --at`` and
 ``verify`` import it (and ``verify`` its module) when they run, so
 ``occurs``, ``correspond``, ``dims``, ``constants`` and ``dist`` without
 ``--at`` start without it.
 
-A dimension too long for ``str`` to print is refused here, before it is
-built, from its logarithm (``reps.dim_piprime_log`` for the dim Pi'
-bracket, ``reps.dim_weyl_log`` for every Weyl dimension); the library's
+A dimension past the print limit (the interpreter's integer-string limit,
+or 4300 digits where it has none) is refused here, before it is built,
+from its logarithm (``reps.dim_piprime_log`` for the dim Pi' bracket,
+``reps.dim_weyl_log`` for every Weyl dimension); the library's
 ``dim_piprime`` and ``dim_weyl`` themselves always return the exact integer.
 """
 
@@ -23,7 +24,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import re
 import sys
 from typing import TYPE_CHECKING
@@ -102,15 +102,15 @@ def _load_matrix(path: str, pair: DualPair) -> np.ndarray:
 
 def _dim_piprime(mup: HCParam, pair: DualPair) -> int:
     """``dim_piprime`` of an occurring parameter, refused before it is built
-    when ``str`` could not print it."""
+    past the print limit."""
     check_digits("dim Pi'", *dim_piprime_log(mup, pair))
     return dim_piprime(mup, pair)
 
 
 def _dim_weyl(what: str, mu: HCParam) -> int:
-    """``dim_weyl``, refused before it is built when ``str`` could not print
-    it.  The log sum may stop once it passes the limit; its digit count is
-    then a lower bound, and the message says so."""
+    """``dim_weyl``, refused before it is built past the print limit.  The
+    log sum may stop once it passes the limit; its digit count is then a
+    lower bound, and the message says so."""
     stop = print_limit_log()
     log_size, scale = dim_weyl_log(mu, stop)
     check_digits(what, log_size, scale, at_least=log_size > stop)
@@ -201,16 +201,9 @@ def _cmd_eval(args) -> tuple[int, dict]:
 def _cmd_verify(args) -> tuple[int, dict]:
     from .verify import check_suite_names, run_suite
 
-    seed, source = args.seed, "--seed"
-    if "HD_SEED" in os.environ:
-        source = "HD_SEED"
-        try:
-            seed = int(os.environ["HD_SEED"])
-        except ValueError:
-            raise UsageError(f"HD_SEED must be an integer, got {os.environ['HD_SEED']!r}") from None
     # the seed is a Philox key
-    if not 0 <= seed < 2**128:
-        raise UsageError(f"{source} must be in [0, 2**128), got {seed}")
+    if not 0 <= args.seed < 2**128:
+        raise UsageError(f"--seed must be in [0, 2**128), got {args.seed}")
     if args.samples < 1:
         raise UsageError(f"--samples must be positive, got {args.samples}")
     names = args.suite.split(",")
@@ -218,7 +211,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
         check_suite_names(names)
     except ValueError as exc:
         raise UsageError(f"--suite: {exc}") from None
-    summary = run_suite(names, seed=seed, samples=args.samples)
+    summary = run_suite(names, seed=args.seed, samples=args.samples)
     return (0 if summary["pass"] else 3), summary
 
 

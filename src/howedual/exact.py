@@ -11,8 +11,9 @@ its float form are views built on first use.
 
 The module also sizes exact numbers before they are built: logs of
 factorial products taken from exact integers, and ``check_digits``, the
-one refusal of a number too long for ``str``.  A half-integer is its
-doubled value, an int, read from text by ``parse_doubled``.
+one refusal of a number past the print limit: the interpreter's
+integer-string limit, or 4300 digits where it has none.  A half-integer
+is its doubled value, an int, read from text by ``parse_doubled``.
 """
 
 from __future__ import annotations
@@ -132,20 +133,21 @@ def superfactorial_valuation2(n: int) -> int:
 
 
 def _print_limit() -> int:
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    """The interpreter's integer-string limit, or Python's default of 4300
+    where it has none (a limit of 0, or Python before 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 def print_limit_log() -> float:
-    """The natural log of 10^(L + 1) for the print limit L, inf without one.
-    ``check_digits`` refuses a log past it at any scale below 10^12, so a
-    sum of nonnegative logs may stop there."""
-    limit = _print_limit()
-    return (limit + 1) * log(10) if limit else inf
+    """The natural log of 10^(L + 1) for the print limit L of
+    ``_print_limit``.  ``check_digits`` refuses a log past it at any scale
+    below 10^12, so a sum of nonnegative logs may stop there."""
+    return (_print_limit() + 1) * log(10)
 
 
 def check_digits(what: str, log_size: float, scale: float = 0.0, at_least: bool = False):
     """Refuse, with ValueError, a number of natural log ``log_size`` that
-    ``str`` would not print under the interpreter's integer-string limit.
+    would not print under the print limit of ``_print_limit``.
 
     ``log_size`` is a float sum, off by a few ulps of ``scale``, the sum of
     the magnitudes of its terms (``|log_size|`` when that is larger).  Only
@@ -158,7 +160,7 @@ def check_digits(what: str, log_size: float, scale: float = 0.0, at_least: bool 
     limit = _print_limit()
     log10_size = log_size / log(10)
     error = 1e-9 + 1e-12 * max(scale, abs(log_size)) / log(10)
-    if limit and log10_size >= limit + error:  # inf >= inf refuses a size past the float range
+    if log10_size >= limit + error:  # inf >= inf refuses a size past the float range
         digits = int(log10_size) + 1 if isfinite(log10_size) else "more than 10^307"
         bound = "at least " if at_least else ""
         raise ValueError(f"{what} would have {bound}{digits} digits, past the print limit of {limit}")
@@ -166,11 +168,11 @@ def check_digits(what: str, log_size: float, scale: float = 0.0, at_least: bool 
 
 def check_printable(what: str, n: int):
     """Refuse, with ValueError in ``check_digits``'s wording, an integer
-    that ``str`` would not print.  Exact, and cheap below 2^2000, which no
-    limit (at least 640 digits) refuses."""
+    past the print limit of ``_print_limit``.  Exact, and cheap below
+    2^2000, which no limit (at least 640 digits) refuses."""
     if n.bit_length() > 2000:
         limit = _print_limit()
-        if limit and abs(n) >= 10**limit:
+        if abs(n) >= 10**limit:
             raise ValueError(f"{what} would have {int(log10(abs(n))) + 1} digits, past the print limit of {limit}")
 
 
@@ -193,14 +195,14 @@ def parse_doubled(text: str) -> int:
     """
     s = text.strip()
     limit = _print_limit()
-    if limit and len(s) > limit:
+    if len(s) > limit:
         runs = "".join(c if c.isdecimal() else " " for c in s.replace("_", "")).split()
         longest = max(map(len, runs), default=0)
         if longest > limit:
             raise ValueError(f"entry would have {longest} digits, past the print limit of {limit}")
     mantissa, sep, exp = s.lower().rpartition("e")
     try:  # a misplaced sign or underscore is left for Fraction to refuse
-        e = float(exp) if limit and sep and exp.lstrip("+-").replace("_", "").isdecimal() else 0.0
+        e = float(exp) if sep and exp.lstrip("+-").replace("_", "").isdecimal() else 0.0
     except ValueError:
         e = 0.0
     try:

@@ -49,7 +49,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import exp, factorial, fsum, gcd, isfinite, log, pi, prod
 from operator import gt, itemgetter, ne
 from types import MappingProxyType
@@ -109,21 +109,9 @@ MAX_TERMS = 4_000_000
 
 
 def perm_sign(perm) -> int:
-    """Sign of a permutation given as a tuple of images of 0..n-1."""
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """Sign of a permutation given as a tuple of images of 0..n-1: the
+    parity of its inversions."""
+    return (-1) ** sum(a > b for a, b in combinations(perm, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +150,16 @@ def _relabelings(l: int) -> Mapping[tuple[int, ...], tuple]:
     })
 
 
+def _orbit(plus: dict, l: int):
+    """For each permutation s of l variables, in lexicographic order: the
+    exponents of ``plus`` relabeled by s and its values times sgn(s).  Over
+    all s these are the terms of the skew sum of ``plus``."""
+    values = {1: list(plus.values())}
+    values[-1] = [-n for n in values[1]]
+    for sign, relabel in _relabelings(l).values():
+        yield map(relabel, plus), values[sign]
+
+
 def skew_symmetrize(p: MultiPoly) -> MultiPoly:
     """sum over permutations s of sgn(s) * (p with variables relabeled by s).
 
@@ -182,11 +180,9 @@ def skew_symmetrize(p: MultiPoly) -> MultiPoly:
     _check_size(factorial(l) * len(plus), "the skew sum")
     # relabeling only moves and negates coefficients, so the gcd of q+ is that of the sum
     g = gcd(p.den, *plus.values())
-    values = {1: [n // g for n in plus.values()]}
-    values[-1] = [-n for n in values[1]]
     nums: dict[tuple[int, ...], int] = {}
-    for sign, relabel in relabelings.values():
-        nums.update(zip(map(relabel, plus), values[sign]))
+    for exponents, values in _orbit({f: n // g for f, n in plus.items()}, l):
+        nums.update(zip(exponents, values))
     return MultiPoly._wrap(l, p.den // g, nums)
 
 
@@ -224,10 +220,8 @@ def divide_by_vandermonde(q: MultiPoly) -> MultiPoly:
     nums = q.nums
     out = {e: n for e, n in nums.items() if all(map(gt, e, e[1:]))}
     # q is skew-symmetric exactly when it is the skew sum of q+
-    values = {1: list(out.values()), -1: [-n for n in out.values()]}
     if factorial(l) * len(out) != len(nums) or any(
-        any(map(ne, map(nums.get, map(relabel, out)), values[sign]))
-        for sign, relabel in _relabelings(l).values()
+        any(map(ne, map(nums.get, exponents), values)) for exponents, values in _orbit(out, l)
     ):
         raise ValueError("input is not skew-symmetric")
     for j in range(l - 1, 0, -1):

@@ -126,6 +126,9 @@ def test_dist_eval_at_matrix(tmp_path, capsys):
     )
     assert code3 == 0
     assert gp["value_at"] == pytest.approx(2 * payload["value_at"])
+    # a non-occurring parameter has the zero distribution, 0 at every point
+    code4, zero = run_cli(capsys, "dist", "--l", "1", "--lp", "2", "--mu", "0", "--at", str(mat))
+    assert code4 == 0 and zero == {"value_at": 0.0, "zero": True}
 
 
 def test_matrix_shape_error(tmp_path, capsys):
@@ -136,6 +139,15 @@ def test_matrix_shape_error(tmp_path, capsys):
     )
     assert code == 2
     assert "error" in payload
+
+
+def test_unreadable_matrix_file_is_usage_error(tmp_path, capsys):
+    mat = tmp_path / "w.json"
+    mat.write_text("[[[0.5, 0.0], [0.0,")  # truncated JSON
+    for path in (tmp_path / "missing.json", mat):
+        code, payload = run_cli(capsys, "eval", "--l", "1", "--lp", "2", "--mu", "2", "--at", str(path))
+        assert code == 2
+        assert payload["error"].startswith(f"malformed matrix file {str(path)!r}")
 
 
 def test_missing_mu_is_usage_error(capsys):
@@ -182,13 +194,13 @@ def test_verify_subcommand(capsys):
     assert payload["seed"] == 3
 
 
-def test_hd_seed_overrides(capsys, monkeypatch):
+def test_hd_seed_does_not_override_seed(capsys, monkeypatch):
     monkeypatch.setenv("HD_SEED", "9")
     code, payload = run_cli(
         capsys, "verify", "--suite", "dan_determinant", "--seed", "3", "--samples", "100"
     )
     assert code == 0
-    assert payload["seed"] == 9
+    assert payload["seed"] == 3
 
 
 def test_negative_parameter_values_parse(capsys):
@@ -228,12 +240,6 @@ def test_overflowing_matrix_is_domain_error(tmp_path, capsys):
     assert code == 1 and "error" in payload
 
 
-def test_non_integer_hd_seed_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("HD_SEED", "abc")
-    code, payload = run_cli(capsys, "verify", "--suite", "dan_determinant", "--samples", "100")
-    assert code == 2 and "HD_SEED" in payload["error"]
-
-
 def test_zero_samples_is_usage_error(capsys):
     code, payload = run_cli(capsys, "verify", "--suite", "cayley_volume", "--samples=0")
     assert code == 2 and "--samples" in payload["error"]
@@ -247,12 +253,6 @@ def test_negative_samples_is_usage_error(capsys):
 def test_negative_seed_is_usage_error(capsys):
     code, payload = run_cli(capsys, "verify", "--suite", "dan_determinant", "--seed=-1")
     assert code == 2 and "--seed" in payload["error"]
-
-
-def test_negative_hd_seed_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("HD_SEED", "-3")
-    code, payload = run_cli(capsys, "verify", "--suite", "dan_determinant")
-    assert code == 2 and "HD_SEED" in payload["error"]
 
 
 def test_seed_beyond_philox_key_is_usage_error(capsys):

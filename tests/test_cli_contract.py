@@ -1,23 +1,30 @@
 """The CLI contract on a seeded draw of inputs, valid and not.
 
-Every run of ``cli.main`` exits 0, 1 or 2, writes exactly one JSON document
-that parses with NaN and the infinities rejected, never writes Python's own
-"Exceeds the limit" refusal of a long integer, and answers within a second.
-The draw mixes valid parameters and their partners, wrong lengths, wrong
-parity and mixed classes, malformed text, huge exponents and huge digit
-strings, through occurs, correspond, dims and dist on both members.
+Every run of ``cli.main`` writes exactly one JSON document that parses with
+NaN and the infinities rejected, and answers within a second.  The draw
+mixes valid parameters and their partners, wrong lengths, wrong parity and
+mixed classes, malformed text, huge exponents and huge digit strings,
+through occurs, correspond, dims and dist on both members: each run exits
+0, 1 or 2, never writes Python's own "Exceeds the limit" refusal of a long
+integer, and writes the same bytes when the interpreter has no
+integer-string limit as at the default of 4300.  A second draw runs
+``verify`` on suite subsets, small sample budgets and seeds: each run exits
+0 or 3.
 """
 
 import contextlib
 import io
 import json
 import random
+import sys
 import time
 
 from howedual import cli
+from howedual.verify import SUITES
 
 SEED = 17
 COUNT = 2000
+VERIFY_COUNT = 12
 SECONDS_PER_RUN = 1.0
 
 MALFORMED = ["1/3", "1/0", "", "x", "3,,1", "1,", "nan", "inf", "1.25", "--1", "1e", "1/2e5"]
@@ -91,27 +98,70 @@ def _draw(rng: random.Random) -> list[str]:
     return [command, *pair, f"{flag}={text}"]
 
 
-def _run(argv):
+def _draw_verify(rng: random.Random) -> list[str]:
+    names = rng.sample(SUITES, rng.randint(1, len(SUITES))) if rng.randrange(8) else ["all"]
+    samples, seed = rng.randint(1, 64), rng.randrange(2**128)
+    return ["verify", "--suite", ",".join(names), "--samples", str(samples), "--seed", str(seed)]
+
+
+def _shown(argv) -> list[str]:
+    return [a if len(a) < 80 else a[:40] + "..." for a in argv]
+
+
+def _run(argv) -> tuple[int, str]:
+    """(exit code, stdout) of one run, which must write one strict JSON
+    document within SECONDS_PER_RUN."""
     out = io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse errors
             code = exc.code
+    elapsed = time.perf_counter() - start
+    json.loads(out.getvalue(), parse_constant=_reject_constant)  # exactly one document, or this raises
+    assert elapsed < SECONDS_PER_RUN, (_shown(argv), elapsed)
     return code, out.getvalue()
 
 
-def test_every_drawn_input_keeps_the_cli_contract():
+def _contract_argv() -> list[list[str]]:
     rng = random.Random(SEED)
+    return FIXED + [_draw(rng) for _ in range(COUNT)]
+
+
+def _runs_at_print_limit(limit: int) -> list[tuple[int, str]]:
+    """Every contract run with the interpreter's integer-string limit set to ``limit``."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        return [_run(argv) for argv in _contract_argv()]
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_every_drawn_input_keeps_the_cli_contract():
     codes = set()
-    for argv in FIXED + [_draw(rng) for _ in range(COUNT)]:
-        start = time.perf_counter()
+    for argv in _contract_argv():
         code, out = _run(argv)
-        elapsed = time.perf_counter() - start
-        shown = [a if len(a) < 80 else a[:40] + "..." for a in argv]
-        assert code in (0, 1, 2), shown
-        json.loads(out, parse_constant=_reject_constant)  # exactly one document, or this raises
-        assert "Exceeds the limit" not in out, shown
-        assert elapsed < SECONDS_PER_RUN, (shown, elapsed)
+        assert code in (0, 1, 2), _shown(argv)
+        assert "Exceeds the limit" not in out, _shown(argv)
         codes.add(code)
     assert codes == {0, 1, 2}
+
+
+def test_no_integer_string_limit_gives_the_output_of_the_default_limit():
+    # a limit of 0 turns off Python's own check; the guards then hold the default of 4300
+    default = _runs_at_print_limit(4300)
+    unlimited = _runs_at_print_limit(0)
+    for argv, want, got in zip(_contract_argv(), default, unlimited):
+        assert got == want, _shown(argv)
+
+
+def test_every_drawn_verify_run_exits_0_or_3():
+    rng = random.Random(SEED)
+    codes = set()
+    for argv in [_draw_verify(rng) for _ in range(VERIFY_COUNT)]:
+        code, _ = _run(argv)
+        assert code in (0, 3), argv
+        codes.add(code)
+    assert codes == {0, 3}

@@ -223,6 +223,18 @@ def test_check_printable_refuses_exactly_what_str_cannot_print():
         sys.set_int_max_str_digits(limit)
 
 
+def test_an_interpreter_without_a_limit_gets_the_default_of_4300():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        check_printable("n", 10**4300 - 1)
+        with pytest.raises(ValueError, match="^n would have 4301 digits, past the print limit of 4300$"):
+            check_printable("n", 10**4300)
+        assert print_limit_log() == pytest.approx(4301 * log(10))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_symscalar_canonical_form():
     # 8 pi^3 stores as rat 1, sqrt2_pow 6, pi_pow 3
     s = SymScalar(Fraction(8), 0, 3)
