@@ -14,9 +14,11 @@ Only the numeric subcommands load numpy: ``eval``, ``dist --at`` and
 
 A dimension past the print limit (the interpreter's integer-string limit,
 or 4300 digits where it has none) is refused here, before it is built,
-from its logarithm (``reps.dim_piprime_log`` for the dim Pi' bracket,
-``reps.dim_weyl_log`` for every Weyl dimension); the library's
-``dim_piprime`` and ``dim_weyl`` themselves always return the exact integer.
+from its logarithm (``reps.dim_piprime_log`` and ``reps.dim_partner_log``
+for the dim Pi' bracket, ``reps.dim_weyl_log`` for every Weyl dimension);
+the library's ``dim_piprime`` and ``dim_weyl`` themselves always return the
+exact integer.  The integer flags are read by ``exact.parse_int``, which
+holds them to the same limit at every interpreter setting.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import re
 import sys
 from typing import TYPE_CHECKING
 
-from .exact import check_digits, print_limit_log
+from .exact import check_digits, parse_int, print_limit_log
 from .intertwine import (
     DistributionData,
     constants,
@@ -43,6 +45,7 @@ from .reps import (
     HighestWeight,
     correspond,
     correspond_back,
+    dim_partner_log,
     dim_piprime,
     dim_piprime_log,
     dim_weyl,
@@ -107,6 +110,15 @@ def _dim_piprime(mup: HCParam, pair: DualPair) -> int:
     return dim_piprime(mup, pair)
 
 
+def _partner(mu: HCParam, pair: DualPair) -> tuple[HCParam, int]:
+    """``correspond(mu, pair)`` and its dim Pi'.  dim Pi' is refused past
+    the print limit from mu alone, before ``correspond`` checks l' and
+    builds the partner's l' entries."""
+    check_digits("dim Pi'", *dim_partner_log(mu, pair))
+    mup = correspond(mu, pair)
+    return mup, dim_piprime(mup, pair)
+
+
 def _dim_weyl(what: str, mu: HCParam) -> int:
     """``dim_weyl``, refused before it is built past the print limit.  The
     log sum may stop once it passes the limit; its digit count is then a
@@ -144,8 +156,8 @@ def _cmd_correspond(args) -> tuple[int, dict]:
         mu = correspond_back(mup, pair)
         return 0, {"dim_pi_prime": _dim_piprime(mup, pair), "mu": mu.to_json(), "dim_pi": _dim_weyl("dim Pi", mu)}
     mu = _mu_from(args, pair)
-    mup = correspond(mu, pair)
-    return 0, {"dim_pi_prime": _dim_piprime(mup, pair), "mu_prime": mup.to_json(), "dim_pi": _dim_weyl("dim Pi", mu)}
+    mup, dim_pi_prime = _partner(mu, pair)
+    return 0, {"dim_pi_prime": dim_pi_prime, "mu_prime": mup.to_json(), "dim_pi": _dim_weyl("dim Pi", mu)}
 
 
 def _cmd_dims(args) -> tuple[int, dict]:
@@ -162,8 +174,7 @@ def _cmd_dims(args) -> tuple[int, dict]:
     payload = {"dim_pi": _dim_weyl("dim Pi", mu)}
     ok, _ = occurs_G_reason(mu, pair)
     if ok:
-        mup = correspond(mu, pair)
-        payload["dim_pi_prime"] = _dim_piprime(mup, pair)  # refused before mu' is serialized
+        mup, payload["dim_pi_prime"] = _partner(mu, pair)  # refused before mu' is serialized
         payload["mu_prime"] = mup.to_json()
     return 0, payload
 
@@ -201,7 +212,7 @@ def _cmd_eval(args) -> tuple[int, dict]:
 def _cmd_verify(args) -> tuple[int, dict]:
     from .verify import check_suite_names, run_suite
 
-    # the seed is a Philox key
+    # the seed keys the streams of verify.RngStream
     if not 0 <= args.seed < 2**128:
         raise UsageError(f"--seed must be in [0, 2**128), got {args.seed}")
     if args.samples < 1:
@@ -226,9 +237,17 @@ class _Parser(argparse.ArgumentParser):
         super().error(message)
 
 
+def _int_flag(text: str) -> int:
+    """The value of an integer flag, by ``exact.parse_int``."""
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_pair_args(sub):
-    sub.add_argument("--l", type=int, required=True, help="rank of the first member U_l")
-    sub.add_argument("--lp", type=int, required=True, help="rank of the second member U_l'")
+    sub.add_argument("--l", type=_int_flag, required=True, help="rank of the first member U_l")
+    sub.add_argument("--lp", type=_int_flag, required=True, help="rank of the second member U_l'")
 
 
 # Parameter values such as -1/2,-3/2 start with "-"; argparse would read
@@ -300,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="numeric verification suites")
     p.add_argument("--suite", default="all", help="comma list of suites or 'all'")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--seed", type=_int_flag, default=0)
+    p.add_argument("--samples", type=_int_flag, default=1_000_000)
     p.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -13,7 +13,8 @@ The module also sizes exact numbers before they are built: logs of
 factorial products taken from exact integers, and ``check_digits``, the
 one refusal of a number past the print limit: the interpreter's
 integer-string limit, or 4300 digits where it has none.  A half-integer
-is its doubled value, an int, read from text by ``parse_doubled``.
+is its doubled value, an int, read from text by ``parse_doubled``; an
+integer is read by ``parse_int``.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "check_printable",
     "print_limit_log",
     "parse_doubled",
+    "parse_int",
     "format_doubled",
 ]
 
@@ -223,6 +225,28 @@ def parse_doubled(text: str) -> int:
     d = f.numerator * (2 // f.denominator)
     check_printable("entry", d if d % 2 else d // 2)
     return d
+
+
+def parse_int(text: str) -> int:
+    """The integer ``text`` writes in a form ``int`` reads: 12 for " 12",
+    -3 for "-3", 1000 for "1_000".
+
+    ValueError for text that is not an integer, and for one with more
+    digits than the print limit, told by counting them before ``int`` runs,
+    so the interpreter's own limit never decides.  The message quotes the
+    text only when it is short.
+    """
+    s = text.strip()
+    limit = _print_limit()
+    if len(s) > limit:
+        digits = sum(map(str.isdecimal, s))
+        if digits > limit:
+            raise ValueError(f"integer would have {digits} digits, past the print limit of {limit}")
+    try:
+        return int(s)
+    except ValueError:
+        shown = repr(text) if len(text) <= 80 else f"a text of {len(text)} characters"
+        raise ValueError(f"invalid int value: {shown}") from None
 
 
 def det(rows) -> Fraction:

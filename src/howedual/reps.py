@@ -8,7 +8,9 @@ parameter holds them doubled, a tuple of ints, and all of this works on
 those ints.  ``DualPair`` enforces l <= l' at construction, so no operation
 checks it again.  Computations for the second member are expressed on the
 embedded Cartan of the first through s0 and delta: -(s0 mu')_j, j <= l,
-plays the role of a first-member entry with a and b exchanged.
+plays the role of a first-member entry with a and b exchanged.  A
+second-member parameter has l' entries, so an l' past ``MAX_RANK`` is
+refused before any such tuple is built.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .exact import SymScalar, format_doubled, log_factorial, log_falling, parse_
 
 __all__ = [
     "DualPair",
+    "MAX_RANK",
     "HCParam",
     "HighestWeight",
     "delta_of",
@@ -41,6 +44,7 @@ __all__ = [
     "dim_weyl_log",
     "dim_piprime",
     "dim_piprime_log",
+    "dim_partner_log",
     "ab_params",
     "mysterious_factor",
 ]
@@ -61,6 +65,19 @@ class DualPair:
                 f"operation needs l <= l' (got l={self.l}, l'={self.lp}); "
                 "swap the pair for reversed-role computations"
             )
+
+
+# The most entries a second-member parameter may have: l'-sized tuples (the
+# rho-string, s0 mu', the partner) past it are refused before they are built.
+MAX_RANK = 1_000_000
+
+_NO_PARTNER = "parameter does not occur; no partner exists"
+
+
+def _check_rank(pair: DualPair) -> None:
+    """Refuse, with ValueError, an l' past ``MAX_RANK``."""
+    if pair.lp > MAX_RANK:
+        raise ValueError(f"l' is past {MAX_RANK}, the most entries a second-member parameter may have")
 
 
 def _doubled(v) -> int:
@@ -156,7 +173,8 @@ def rho(n: int) -> HCParam:
 
 def rho_pp(pair: DualPair) -> tuple[int, ...]:
     """Twice the rho-string (delta - j) for j = 1..l'-l of the group U_{l'-l}:
-    l'-l-1, l'-l-3, ..., l-l'+1; empty for l = l'."""
+    l'-l-1, l'-l-3, ..., l-l'+1; empty for l = l'.  ValueError for l' past ``MAX_RANK``."""
+    _check_rank(pair)
     return tuple(range(pair.lp - pair.l - 1, pair.l - pair.lp, -2))
 
 
@@ -213,9 +231,11 @@ def occurs_G(mu: HCParam, pair: DualPair) -> bool:
 
 def s0_apply(mup: HCParam, pair: DualPair) -> tuple[int, ...]:
     """The aligning Weyl element on twice the entries, mu' rotated by l'-l
-    places: entry j is mu'_{l'-l+j} for j <= l and mu'_{j-l} for j > l."""
+    places: entry j is mu'_{l'-l+j} for j <= l and mu'_{j-l} for j > l.
+    The length is checked first, then l' against ``MAX_RANK``."""
     if len(mup) != pair.lp:
         raise ValueError(f"parameter must have {pair.lp} entries, got {len(mup)}")
+    _check_rank(pair)
     k = pair.lp - pair.l
     return mup.doubled[k:] + mup.doubled[:k]
 
@@ -244,17 +264,19 @@ def correspond(mu: HCParam, pair: DualPair) -> HCParam:
     """The parameter of the partner representation on the second member.
 
     The first l'-l entries are the rho-string of U_{l'-l} and the rest is
-    the negated reversal of mu, so mu'_{l'+1-j} = -mu_j.
+    the negated reversal of mu, so mu'_{l'+1-j} = -mu_j.  Occurrence is
+    checked first, then l' against ``MAX_RANK`` (in ``rho_pp``).
     """
     if not occurs_G(mu, pair):
-        raise ValueError("parameter does not occur; no partner exists")
+        raise ValueError(_NO_PARTNER)
     return HCParam.from_doubled(rho_pp(pair) + tuple(-x for x in reversed(mu.doubled)))
 
 
 def correspond_back(mup: HCParam, pair: DualPair) -> HCParam:
-    """Inverse of ``correspond``: mu_j = -mu'_{l'+1-j}."""
+    """Inverse of ``correspond``: mu_j = -mu'_{l'+1-j}.  ``occurs_Gprime``
+    checks l' against ``MAX_RANK`` (in ``s0_apply``)."""
     if not occurs_Gprime(mup, pair):
-        raise ValueError("parameter does not occur; no partner exists")
+        raise ValueError(_NO_PARTNER)
     return HCParam.from_doubled(-x for x in reversed(mup.doubled[pair.lp - pair.l :]))
 
 
@@ -363,7 +385,21 @@ def dim_piprime_log(mup: HCParam, pair: DualPair) -> tuple[float, float]:
     entry of any size is taken without overflow or cancellation, in
     O(l^2) float operations.
     """
-    tail, d2 = mup.doubled[pair.lp - pair.l :], _delta2(pair)
+    return _bracket_log(mup.doubled[pair.lp - pair.l :], pair)
+
+
+def dim_partner_log(mu: HCParam, pair: DualPair) -> tuple[float, float]:
+    """``dim_piprime_log`` of ``correspond(mu, pair)``, from mu alone: the
+    partner's last l entries are -mu reversed, so none of its l' entries is
+    built.  ValueError, in ``correspond``'s words, when mu does not occur."""
+    if not occurs_G(mu, pair):
+        raise ValueError(_NO_PARTNER)
+    return _bracket_log(tuple(-x for x in reversed(mu.doubled)), pair)
+
+
+def _bracket_log(tail, pair: DualPair) -> tuple[float, float]:
+    """The sums of ``dim_piprime_log`` over the last l doubled entries of mu'."""
+    d2 = _delta2(pair)
     ratios = fsum(log_falling((d2 - x) // 2 - 1, d2 - 1) for x in tail)
     roots = [log(abs(x - y)) - log(2) for x, y in combinations(tail, 2)]
     facts = fsum(map(log_factorial, range(pair.lp - pair.l, pair.lp)))

@@ -340,6 +340,44 @@ def test_constants_past_the_print_limit_fails_at_once(lp, digits):
     assert payload == {"error": f"vol(U_l') would have {digits} digits, past the print limit of {limit}"}
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["occurs", "--l", "1", "--lp", "9" * 5000, "--mu", "2"], "--lp"), (["verify", "--seed", "9" * 5000], "--seed")],
+)
+def test_a_5000_digit_integer_flag_is_refused_in_the_same_words_at_every_limit(capsys, argv, flag):
+    # the text is sized before int() runs, so no interpreter setting lets it through
+    limit = sys.get_int_max_str_digits()
+    outs = []
+    for setting in (4300, 0):
+        sys.set_int_max_str_digits(setting)
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert exc.value.code == 2
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    message = f"argument {flag}: integer would have 5000 digits, past the print limit of 4300"
+    assert json.loads(outs[0], parse_constant=_reject_constant) == {"error": message}
+
+
+@pytest.mark.parametrize("command", ["correspond", "dims"])
+def test_a_partner_past_the_rank_bound_is_refused_before_it_is_built(command):
+    # dim Pi' = 10^8 prints, but the partner has 10^8 entries
+    proc = run_module(command, "--l", "1", "--lp", "100000000", "--mu", "50000001", timeout=10)
+    assert proc.returncode == 1 and b"Traceback" not in proc.stderr
+    payload = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert payload == {"error": "l' is past 1000000, the most entries a second-member parameter may have"}
+    # dim Pi' is sized from mu first, so one too long to print keeps its
+    # refusal past the bound, in the words it had when the partner was built
+    proc = run_module(command, "--l", "1", "--lp", "5000000", "--mu", "5000000", timeout=10)
+    limit = sys.get_int_max_str_digits()
+    assert proc.returncode == 1
+    payload = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert payload == {"error": f"dim Pi' would have 2073256 digits, past the print limit of {limit}"}
+
+
 def test_constants_at_a_huge_second_rank_is_sized_in_log_time():
     # vol(U_l') is sized from the Barnes G expansion and bitwise popcounts;
     # the loop over k < l' it replaced took 6 s at l' = 10^7

@@ -17,6 +17,7 @@ from howedual.exact import (
     log_falling,
     log_superfactorial,
     parse_doubled,
+    parse_int,
     print_limit_log,
     superfactorial,
     superfactorial_valuation2,
@@ -204,6 +205,29 @@ def test_parse_doubled_sizes_the_text_before_building_it():
     # a run of digits past the limit, which int() would refuse in Python's words
     with pytest.raises(ValueError, match=f"^entry would have {limit + 1} digits"):
         parse_doubled("1/" + "3" * (limit + 1))
+
+
+def test_parse_int_sizes_the_text_before_converting_it():
+    limit = sys.get_int_max_str_digits()
+    assert parse_int(" -12 ") == -12 and parse_int("1_000") == 1000
+    assert parse_int("9" * limit) == 10**limit - 1
+    with pytest.raises(ValueError, match="^invalid int value: 'abc'$"):
+        parse_int("abc")
+    with pytest.raises(ValueError, match=r"^invalid int value: '1\.5'$"):
+        parse_int("1.5")
+    # a long text is not quoted back
+    with pytest.raises(ValueError, match="^invalid int value: a text of 5000 characters$"):
+        parse_int("x" * 5000)
+    # the same refusal at the default limit and with none, where Python's own
+    # int() would accept the text
+    for setting in (4300, 0):
+        sys.set_int_max_str_digits(setting)
+        try:
+            with pytest.raises(ValueError, match="^integer would have 5000 digits, past the print limit of 4300$"):
+                parse_int("9" * 5000)
+            assert parse_int("1_" * 2500 + "1") == int("1" * 2501)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_check_printable_refuses_exactly_what_str_cannot_print():

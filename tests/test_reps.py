@@ -29,7 +29,14 @@ from howedual import (
     rho_pp,
     s0_apply,
 )
-from howedual.reps import dim_piprime_log, dim_weyl_log, occurs_G_reason, occurs_Gprime_reason
+from howedual.reps import (
+    MAX_RANK,
+    dim_partner_log,
+    dim_piprime_log,
+    dim_weyl_log,
+    occurs_G_reason,
+    occurs_Gprime_reason,
+)
 
 
 def H(text):
@@ -247,6 +254,39 @@ def test_dim_piprime_log_matches_the_exact_dimension():
         mup = correspond(mu, pair)
         log_dim, scale = dim_piprime_log(mup, pair)
         assert abs(log_dim - log(dim_piprime(mup, pair))) <= 1e-14 * scale + 1e-14, (pair, mu)
+
+
+def test_dim_partner_log_is_the_log_of_the_built_partner():
+    for pair in all_pairs():
+        for mu in occurring_params(pair):
+            assert dim_partner_log(mu, pair) == dim_piprime_log(correspond(mu, pair), pair)
+    with pytest.raises(ValueError, match="^parameter does not occur; no partner exists$"):
+        dim_partner_log(H("0"), DualPair(1, 2))
+    # l' = 10^12 is sized without its l' entries: dim Pi' = 1 at mu = delta
+    log_dim, scale = dim_partner_log(H(str(5 * 10**11)), DualPair(1, 10**12))
+    assert abs(log_dim) <= 1e-12 * scale
+
+
+def test_a_second_rank_past_the_bound_is_refused_before_any_tuple_is_built():
+    past = f"^l' is past {MAX_RANK}, the most entries a second-member parameter may have$"
+    huge = DualPair(1, 10**12)
+    with pytest.raises(ValueError, match=past):
+        rho_pp(huge)
+    with pytest.raises(ValueError, match=past):
+        correspond(H(str(5 * 10**11)), huge)
+    # every refusal that comes first keeps its words
+    with pytest.raises(ValueError, match="^parameter does not occur; no partner exists$"):
+        correspond(H("0"), huge)
+    with pytest.raises(ValueError, match="^parameter must have 1000000000000 entries, got 2$"):
+        s0_apply(H("0,-2"), huge)
+    # a parameter of MAX_RANK + 1 entries, built by the caller
+    over = DualPair(1, MAX_RANK + 1)
+    mup = HCParam.from_doubled(range(2 * MAX_RANK, -1, -2))
+    for call in (s0_apply, occurs_Gprime, correspond_back):
+        with pytest.raises(ValueError, match=past):
+            call(mup, over)
+    # the bound itself is allowed
+    assert len(rho_pp(DualPair(1, MAX_RANK))) == MAX_RANK - 1
 
 
 def test_ab_params():
