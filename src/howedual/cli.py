@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 domain error (e.g. a non-occurring parameter where
 occurrence is required, or a failed occurrence query), 2 usage error
-(including argparse errors and parameter text that is not a parameter),
-3 verification failure.  Output is a single UTF-8 JSON document per
-invocation and is byte-identical for identical argv; ``verify`` takes its
-seed from --seed alone.
+(including argparse errors, parameter text that is not a parameter, such as
+a mix of integers and half-integers, and --samples past
+``verify.MAX_SAMPLES``), 3 verification failure.  Output is a single UTF-8
+JSON document per invocation and is byte-identical for identical argv;
+``verify`` takes its seed from --seed alone.
 
 Only the numeric subcommands load numpy: ``eval``, ``dist --at`` and
 ``verify`` import it (and ``verify`` its module) when they run, so
@@ -210,13 +211,13 @@ def _cmd_eval(args) -> tuple[int, dict]:
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
-    from .verify import check_suite_names, run_suite
+    from .verify import MAX_SAMPLES, check_suite_names, run_suite
 
     # the seed keys the streams of verify.RngStream
     if not 0 <= args.seed < 2**128:
         raise UsageError(f"--seed must be in [0, 2**128), got {args.seed}")
-    if args.samples < 1:
-        raise UsageError(f"--samples must be positive, got {args.samples}")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise UsageError(f"--samples must be in [1, {MAX_SAMPLES}], got {args.samples}")
     names = args.suite.split(",")
     try:
         check_suite_names(names)

@@ -21,11 +21,11 @@ product's denominator is the product of the factors' denominators, the
 skew sum collects each term on the strictly decreasing representative of
 its orbit and expands every representative once, and the divided
 differences act on the integer coefficient dict.  A product or skew sum
-past MAX_TERMS terms, or a coefficient too long for ``str`` to print,
-raises ValueError before it is expanded.  Q is exact data; only its value
-at a point is floating point, an exactly rounded sum of the float terms
-that does not depend on their order, taken from the float form that the
-polynomial builds once.  numpy is imported inside ``eval_distribution``
+past MAX_TERMS terms, or a coefficient or second-member prefactor too long
+for ``str`` to print, raises ValueError before it is expanded.  Q is exact
+data; only its value at a point is floating point, an exactly rounded sum
+of the float terms that does not depend on their order, taken from the
+float form that the polynomial builds once.  numpy is imported inside ``eval_distribution``
 and ``eigvalsh_jacobi``, the two functions that need it, so importing this
 module does not load it.
 
@@ -75,6 +75,7 @@ from .reps import (
     dim_piprime,
     dim_weyl,
     mysterious_factor,
+    mysterious_factor_log,
     occurs_G,
     occurs_Gprime,
     s0_apply,
@@ -377,15 +378,19 @@ def distribution_Gprime(mup: HCParam, pair: DualPair) -> DistributionData:
 
     Same pipeline on the first l entries of s0 mu' with the index pair
     exchanged, P_{b_j, a_j, 2}, and the factorial-ratio factor of
-    ``mysterious_factor`` in the prefactor.
+    ``mysterious_factor`` in the prefactor, whose rational is +- the odd
+    part of that factor (C_bullet's is +-1): one too long for ``str`` is
+    refused from ``mysterious_factor_log`` before anything is built.
     """
     l = pair.l
     if not occurs_Gprime(mup, pair):
         return DistributionData(SymScalar.zero(), MultiPoly.zero(l))
+    check_digits("the prefactor", *mysterious_factor_log(mup, pair))
     head = HCParam.from_doubled(s0_apply(mup, pair)[:l])  # mu'_{l'-l+1} > ... > mu'_{l'}
     inv = _pipeline([(b, a) for a, b in ab_params(head, pair)], l)
-    pref = _prefactor(pair, _central_turns(mup)) * mysterious_factor(mup, pair)
-    return DistributionData(pref, inv)
+    factor = mysterious_factor(mup, pair)
+    check_printable("the prefactor", factor.rat.numerator)
+    return DistributionData(_prefactor(pair, _central_turns(mup)) * factor, inv)
 
 
 def proportionality(mu: HCParam, mup: HCParam, pair: DualPair) -> SymScalar:

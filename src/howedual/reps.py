@@ -3,14 +3,15 @@
 Highest weights, Harish-Chandra parameters, the occurrence tests for both
 members, the aligning Weyl element s0, the correspondence map and its
 inverse, and two independent formulas for a dimension, Weyl's and the
-dim Pi' bracket.  Entries lie in delta + Z, delta = (l' - l + 1)/2, so a
-parameter holds them doubled, a tuple of ints, and all of this works on
-those ints.  ``DualPair`` enforces l <= l' at construction, so no operation
-checks it again.  Computations for the second member are expressed on the
-embedded Cartan of the first through s0 and delta: -(s0 mu')_j, j <= l,
-plays the role of a first-member entry with a and b exchanged.  A
-second-member parameter has l' entries, so an l' past ``MAX_RANK`` is
-refused before any such tuple is built.
+dim Pi' bracket.  Entries are all integers or all half-integers (those of
+an occurring parameter lie in delta + Z, delta = (l' - l + 1)/2), so a
+parameter holds them doubled, ints of one parity checked at construction,
+and all of this works on those ints.  ``DualPair`` enforces l <= l' at
+construction, so no operation checks it again.  Computations for the
+second member are expressed on the embedded Cartan of the first through
+s0 and delta: -(s0 mu')_j, j <= l, plays the role of a first-member entry
+with a and b exchanged.  A second-member parameter has l' entries, so an
+l' past ``MAX_RANK`` is refused before any such tuple is built.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, fsum, inf, log, perm, prod
+from math import comb, fsum, inf, log, perm, prod
 from operator import add, ge, gt, sub
 
 from .exact import SymScalar, format_doubled, log_factorial, log_falling, parse_doubled
@@ -47,6 +48,7 @@ __all__ = [
     "dim_partner_log",
     "ab_params",
     "mysterious_factor",
+    "mysterious_factor_log",
 ]
 
 
@@ -94,7 +96,7 @@ def _doubled(v) -> int:
 
 class _DoubledTuple:
     """Shared behaviour of the weight-like tuples, held as ``doubled``: twice
-    each entry, an int.  ``from_doubled`` is the one validating constructor."""
+    each entry, an int of one parity.  ``_set`` is the one check."""
 
     __slots__ = ("doubled",)
     _in_order = gt
@@ -115,6 +117,8 @@ class _DoubledTuple:
             raise ValueError("parameter needs at least one entry")
         if not all(map(self._in_order, xs, xs[1:])):
             raise ValueError(f"entries must be {self._order} decreasing: {[format_doubled(x) for x in xs]}")
+        if len({x & 1 for x in xs}) > 1:
+            raise ValueError(f"entries must all be integers or all half-integers: {[format_doubled(x) for x in xs]}")
         self.doubled = xs
 
     @classmethod
@@ -140,15 +144,16 @@ class _DoubledTuple:
 
 
 class HCParam(_DoubledTuple):
-    """A strictly decreasing tuple of half-integers (a Harish-Chandra parameter).
+    """A strictly decreasing tuple of integers or of half-integers (a
+    Harish-Chandra parameter).
 
-    Strict dominance is enforced at construction; Weyl-orbit inputs should
-    be sorted (with sign tracking) before entry.
+    Both are enforced at construction; Weyl-orbit inputs should be sorted
+    (with sign tracking) before entry.
     """
 
 
 class HighestWeight(_DoubledTuple):
-    """A weakly decreasing tuple of half-integers (a highest weight)."""
+    """A weakly decreasing tuple of integers or of half-integers (a highest weight)."""
 
     _in_order = ge
     _order = "weakly"
@@ -180,7 +185,7 @@ def rho_pp(pair: DualPair) -> tuple[int, ...]:
 
 def is_genuine(hw: HighestWeight, pair: DualPair) -> bool:
     """Genuineness for the first member: every entry minus l'/2 is an integer."""
-    return all((x - pair.lp) % 2 == 0 for x in hw.doubled)
+    return (hw.doubled[0] - pair.lp) % 2 == 0
 
 
 def hc_param(hw: HighestWeight, pair: DualPair) -> HCParam:
@@ -203,11 +208,11 @@ def hw_of(mu: HCParam, pair: DualPair) -> HighestWeight:
 
 
 def _delta_reason(doubled, pair: DualPair) -> str | None:
-    """Why not every 2x in ``doubled`` has x in delta + Z_{>=0}: ``"parity"``
-    when some x is not in delta + Z, ``"not-occurring"`` when one of the
-    right class lies below delta; None when all of them lie there."""
+    """Why not every 2x in ``doubled`` (of one class) has x in delta + Z_{>=0}:
+    ``"parity"`` when they are not in delta + Z, ``"not-occurring"`` when one
+    of them lies below delta; None when all of them lie there."""
     d2 = _delta2(pair)
-    if any((x - d2) % 2 for x in doubled):
+    if (doubled[0] - d2) % 2:
         return "parity"
     if any(x < d2 for x in doubled):
         return "not-occurring"
@@ -295,63 +300,34 @@ def dim_weyl(mu: HCParam) -> int:
 
     Inside a run of consecutive entries (mu_{j+1} = mu_j - 1) every factor
     is 1, so each maximal run j..k-1 is taken against each later entry i as
-    one ratio prod_{s<n} (D - 2s) / (2^n (i-j)(i-j-1)...(i-j-n+1)), with
-    D = 2(mu_j - mu_i) and n = k - j, all on integers.  ValueError when
-    the product is not a positive integer.
+    one ratio perm(mu_j - mu_i, n) / perm(i - j, n), with n = k - j.  The
+    entries are of one class, so mu_j - mu_i = D/2 is an integer and the
+    product a positive one.
     """
     num = den = 1
     for d, gap, n in _run_ratios(mu.doubled):
-        num *= prod(range(d, d - 2 * n, -2))
-        den *= perm(gap, n) << n
-    dim, rem = divmod(num, den)
-    if rem or dim <= 0:
-        raise ValueError("parameter is not strictly dominant")
-    return dim
+        num *= perm(d // 2, n)
+        den *= perm(gap, n)
+    return num // den
 
 
 def dim_weyl_log(mu: HCParam, stop: float = inf) -> tuple[float, float]:
-    """log ``dim_weyl(mu)`` from the same run ratios, and the sum of the
-    magnitudes of the terms it is summed from.
+    """log ``dim_weyl(mu)`` from the same run ratios, each falling(D/2, n) /
+    falling(i-j, n) from ``log_falling``, and the sum of the magnitudes of
+    the terms it is summed from.
 
-    Each ratio is taken from ``log_falling``: falling(D/2, n) / falling(i-j, n)
-    for even D, and falling(D+1, 2n) / (4^n falling((D+1)/2, n)
-    falling(i-j, n)) for odd D, whose n odd factors are those of
-    falling(D+1, 2n) over its n even ones.  When the entries are all
-    integers or all half-integers, mu_j - mu_i >= i - j, so every ratio is
-    at least 1 and every partial sum a lower bound: the sum is returned as
-    soon as it passes ``stop``.  Otherwise it runs to the end and adds up
-    the 2-adic valuations of the ratios too.  The product is
-    prod_{j<i} (x_j - x_i) / (i - j) over the doubled entries x, an integer
-    (a determinant of binomials), over 2^(number of pairs), so a negative
-    valuation is exactly ``dim_weyl``'s remainder, and raises its ValueError.
+    The entries are of one class, so mu_j - mu_i >= i - j: every ratio is
+    at least 1 and every partial sum a lower bound, and the sum is returned
+    as soon as it passes ``stop``.
     """
-    xs = mu.doubled
-    one_class = len({x % 2 for x in xs}) == 1
     total = scale = 0.0
-    val2 = 0
-    for d, gap, n in _run_ratios(xs):
-        den = log_falling(gap, n)
-        val2 += gap.bit_count() - (gap - n).bit_count()
-        if d % 2:
-            num = log_falling(d + 1, 2 * n) - log_falling((d + 1) // 2, n) - 2 * n * log(2)
-            val2 -= 2 * n
-        else:
-            num = log_falling(d // 2, n)
-            val2 -= (d // 2).bit_count() - (d // 2 - n).bit_count()
+    for d, gap, n in _run_ratios(mu.doubled):
+        num, den = log_falling(d // 2, n), log_falling(gap, n)
         total += num - den
         scale += num + den
-        if one_class and total > stop:
-            return total, scale
-    if val2 < 0:
-        raise ValueError("parameter is not strictly dominant")
+        if total > stop:
+            break
     return total, scale
-
-
-def _factorial_ratio(doubled, d2: int) -> int:
-    """prod_j (x_j + delta - 1)! / (x_j - delta)! over x_j in delta + Z_{>=0},
-    given 2 x_j and 2 delta: each ratio is ``math.perm(x_j + delta - 1,
-    2 delta - 1)``, the 2 delta - 1 integers above x_j - delta."""
-    return prod(perm((x + d2) // 2 - 1, d2 - 1) for x in doubled)
 
 
 def dim_piprime(mup: HCParam, pair: DualPair) -> int:
@@ -359,17 +335,19 @@ def dim_piprime(mup: HCParam, pair: DualPair) -> int:
 
     The bracket prod_j (x_j+delta-1)!/(x_j-delta)! * prod_{j<k} (x_j - x_k)
     / prod_{j<=l} (l'-j)! over x = -mu'_{l'}, ..., -mu'_{l'-l+1}, the
-    entries of the partner mu, in integers from the doubled entries.  This
-    is the one place the bracket is computed: ``mysterious_factor`` reads
-    its factorial ratios and ``intertwine.value_at_zero_closed`` the whole
-    of it.  Agrees with ``dim_weyl``.
+    entries of the partner mu, in integers from the doubled entries, as
+    prod_j comb(x_j+delta-1, l'-l) * prod_{j<k} (x_j - x_k) over
+    prod_{j<l} perm(l'-1-j, l-1-j): 2 delta - 1 = l' - l, so (l'-l)!^l
+    cancels and the cost follows the size of the answer, not l'.  This is
+    the one place the bracket is computed: ``intertwine.value_at_zero_closed``
+    reads it.  Agrees with ``dim_weyl``.
     """
     if not occurs_Gprime(mup, pair):
         raise ValueError("parameter does not occur")
-    l, lp = pair.l, pair.lp
-    xs = [-x for x in mup.doubled[lp - l :]]  # 2 mu_l, ..., 2 mu_1
-    num = _factorial_ratio(xs, _delta2(pair)) * prod(y - x for x, y in combinations(xs, 2))
-    dim, rem = divmod(num, prod(map(factorial, range(lp - l, lp))) << (l * (l - 1) // 2))
+    l, k = pair.l, pair.lp - pair.l
+    tail = mup.doubled[k:]  # -2 mu_l, ..., -2 mu_1
+    num = prod(comb((k - 1 - x) // 2, k) for x in tail) * prod(x - y for x, y in combinations(tail, 2))
+    dim, rem = divmod(num, prod(perm(k + j, j) for j in range(l)) << (l * (l - 1) // 2))
     if rem:
         raise ValueError("dimension formula did not produce an integer")
     return dim
@@ -411,21 +389,31 @@ def ab_params(mu: HCParam, pair: DualPair) -> tuple[tuple[int, int], ...]:
     if len(mu) != pair.l:
         raise ValueError(f"parameter must have {pair.l} entries")
     d2 = _delta2(pair)
-    out = []
-    for x in mu.doubled:
-        if (x + d2) % 2:
-            raise ValueError(f"entry {format_doubled(x)} has the wrong parity class for delta = {format_doubled(d2)}")
-        out.append(((2 - d2 - x) // 2, (2 - d2 + x) // 2))
-    return tuple(out)
+    x = mu.doubled[0]
+    if (x + d2) % 2:
+        raise ValueError(f"entry {format_doubled(x)} has the wrong parity class for delta = {format_doubled(d2)}")
+    return tuple([((2 - d2 - x) // 2, (2 - d2 + x) // 2) for x in mu.doubled])
 
 
 def mysterious_factor(mup: HCParam, pair: DualPair) -> SymScalar:
-    """The factorial ratios of ``dim_piprime``, on x = -(s0 mu')_j, j <= l.
+    """The factorial ratios of ``dim_piprime``, prod_j perm(x_j + delta - 1,
+    2 delta - 1) on x = -(s0 mu')_j, j <= l.
 
     For an occurring parameter this equals
     (dim Pi' / dim Pi) * prod_{j<=l} (l'-j)!/(l-j)!, a positive rational.
     """
     if not occurs_Gprime(mup, pair):
         raise ValueError("parameter does not occur")
-    xs = [-x for x in s0_apply(mup, pair)[: pair.l]]
-    return SymScalar(_factorial_ratio(xs, _delta2(pair)))
+    k = pair.lp - pair.l
+    return SymScalar(prod(perm((k - 1 - x) // 2, k) for x in s0_apply(mup, pair)[: pair.l]))
+
+
+def mysterious_factor_log(mup: HCParam, pair: DualPair) -> tuple[float, float]:
+    """log of the odd part of ``mysterious_factor`` of an occurring parameter,
+    the rational it carries, and the sum of the magnitudes of its terms: each
+    perm(n, k) from ``log_falling``, less log 2 times its 2-adic valuation
+    k - s(n) + s(n - k), s the binary digit sum."""
+    k = pair.lp - pair.l
+    ns = [(k - 1 - x) // 2 for x in mup.doubled[k:]]
+    ratios = fsum(log_falling(n, k) for n in ns)
+    return ratios - log(2) * sum(k - n.bit_count() + (n - k).bit_count() for n in ns), ratios

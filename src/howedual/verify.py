@@ -45,6 +45,7 @@ __all__ = [
     "cayley_invariance_check",
     "distribution_invariance",
     "cw_identity_check",
+    "MAX_SAMPLES",
     "check_suite_names",
     "run_suite",
 ]
@@ -477,6 +478,9 @@ def cw_identity_check(pair: DualPair) -> bool:
 # ---------------------------------------------------------------------------
 # Suite runner
 # ---------------------------------------------------------------------------
+
+# the CLI's bound on --samples: 1,000 times its default, about 45 minutes of every suite on 2 CPUs
+MAX_SAMPLES = 10**9
 
 SUITES = (
     "cayley_volume",

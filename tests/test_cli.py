@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from howedual import DualPair, HCParam, correspond
 from howedual.cli import main
 from howedual.reps import _DoubledTuple
+from howedual.verify import MAX_SAMPLES
 
 
 def _reject_constant(name):
@@ -250,6 +252,15 @@ def test_negative_samples_is_usage_error(capsys):
     assert code == 2 and "--samples" in payload["error"]
 
 
+@pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10**15])
+def test_samples_past_the_bound_is_usage_error(capsys, samples):
+    # 10^15 ran out of memory building its block list before the bound
+    start = time.perf_counter()
+    code, payload = run_cli(capsys, "verify", "--suite", "cayley_volume", "--samples", str(samples))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and payload == {"error": f"--samples must be in [1, {MAX_SAMPLES}], got {samples}"}
+
+
 def test_negative_seed_is_usage_error(capsys):
     code, payload = run_cli(capsys, "verify", "--suite", "dan_determinant", "--seed=-1")
     assert code == 2 and "--seed" in payload["error"]
@@ -473,6 +484,21 @@ def test_constants_past_the_float_range_fails_at_once(lp):
     assert payload == {"error": f"vol(U_l') would have more than 10^307 digits, past the print limit of {limit}"}
 
 
+def test_gprime_prefactor_past_the_print_limit_fails_at_once():
+    # the rational of the G' prefactor is +- the odd part of
+    # prod_j perm(x_j + delta - 1, 2 delta - 1); on the partner of mu = delta
+    # that is (l' - 1)! over its power of two: 4302 digits at l' = 1720,
+    # which Python refused in its own words, and 4299 at l' = 1719
+    limit = sys.get_int_max_str_digits()
+    code, payload = run_to_json("dist", "--side", "gprime", *_partner_argv(1720, "860"), timeout=10)
+    assert code == 1
+    assert payload == {"error": f"the prefactor would have 4302 digits, past the print limit of {limit}"}
+    proc = run_module("dist", "--side", "gprime", *_partner_argv(1719, "1719/2"), timeout=10)
+    assert proc.returncode == 0 and proc.stderr == b""
+    digest = "354be27b15a9a78aa7dc6dabd997a0db4772765a0649c147551b585dc4268661"
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
 def test_large_second_rank_costs_what_the_first_rank_does():
     # these build no factorial past l' - 1 and no superfactorial of l'
     code, payload = run_to_json("dims", "--l", "1", "--lp", "3000", "--mu", "1500")
@@ -488,6 +514,14 @@ def test_correspond_at_a_large_parameter_builds_no_factorial_of_it():
     assert proc.returncode == 0 and proc.stderr == b""
     payload = json.loads(proc.stdout, parse_constant=_reject_constant)
     assert payload == {"mu_prime": ["0", "-1000000"], "dim_pi": 1, "dim_pi_prime": 1000000}
+
+
+def test_correspond_at_a_million_second_rank_builds_no_factorial_of_it():
+    # dim Pi' = comb(10^6, 10^6 - 1); from perm and factorials of about l'
+    # this took 22 s
+    code, payload = run_to_json("correspond", "--l", "1", "--lp", "1000000", "--mu", "500001", timeout=10)
+    assert code == 0 and payload["dim_pi"] == 1 and payload["dim_pi_prime"] == 1000000
+    assert payload["mu_prime"][-2:] == ["-499999", "-500001"] and len(payload["mu_prime"]) == 1000000
 
 
 def test_correspond_back_at_a_large_second_rank():
@@ -595,6 +629,7 @@ def test_reversed_pair_is_domain_error(capsys, argv):
         ("--mu", "1/3", "--mu: not a half-integer: '1/3'"),
         ("--mu", "1/0", "--mu: not a half-integer: '1/0'"),
         ("--mu", "1,2", "--mu: entries must be strictly decreasing: ['1', '2']"),
+        ("--mu", "1,1/2", "--mu: entries must all be integers or all half-integers: ['1', '1/2']"),
         ("--mu", "2,,1", "--mu: Invalid literal for Fraction: ''"),
         ("--hw", "1,2", "--hw: entries must be weakly decreasing: ['1', '2']"),
     ],
@@ -611,6 +646,30 @@ def test_malformed_parameter_is_usage_error(capsys, flag, text, message):
 def test_malformed_second_member_parameter_is_usage_error(capsys, argv):
     code, payload = run_cli(capsys, argv[0], "--l", "1", "--lp", "2", *argv[1:], "--mu-prime", "0,x")
     assert code == 2 and payload == {"error": "--mu-prime: Invalid literal for Fraction: 'x'"}
+
+
+_SECOND_MEMBER = {"occurs": ["--side", "gprime"], "correspond": ["--back"], "dims": [], "dist": ["--side", "gprime"]}
+
+
+@pytest.mark.parametrize("command", sorted(_SECOND_MEMBER))
+@pytest.mark.parametrize("flag", ["--mu", "--hw", "--mu-prime"])
+def test_parameter_of_both_classes_is_usage_error(capsys, command, flag):
+    # once answered "parity", "wrong parity class", "not genuine", "does not
+    # occur", "not strictly dominant", a zero distribution or a dimension
+    if flag == "--mu-prime":
+        argv, text, shown = _SECOND_MEMBER[command], "1,1/2,-1", "['1', '1/2', '-1']"
+    else:
+        argv, text, shown = [], "1,1/2", "['1', '1/2']"
+    code, payload = run_cli(capsys, command, "--l", "2", "--lp", "3", *argv, f"{flag}={text}")
+    assert code == 2
+    assert payload == {"error": f"{flag}: entries must all be integers or all half-integers: {shown}"}
+
+
+def test_dims_of_both_classes_is_no_dimension(capsys):
+    # its Weyl product is the integer 62
+    code, payload = run_cli(capsys, "dims", "--l", "3", "--lp", "3", "--mu", "16,1/2,0")
+    assert code == 2
+    assert payload == {"error": "--mu: entries must all be integers or all half-integers: ['16', '1/2', '0']"}
 
 
 def test_parameter_of_wrong_length_is_domain_error(capsys):

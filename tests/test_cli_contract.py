@@ -45,12 +45,13 @@ HUGE = [
     "1e300,1e299",
 ]
 
-# always run: an exponent that took 12 s to build, an entry and a term count
-# that were refused in Python's words
+# always run: an exponent that took 12 s to build, an entry, a term count and
+# a G' prefactor (of the partner of mu = 860) that were refused in Python's words
 FIXED = [
     ["occurs", "--l", "1", "--lp", "2", "--mu", "1e10000000"],
     ["occurs", "--l", "1", "--lp", "2", "--mu", "9" * 4400],
     ["dist", "--l", "2", "--lp", "3", "--mu", "1e4000,1e3999"],
+    ["dist", "--l", "1", "--lp", "1720", "--side", "gprime", f"--mu-prime={','.join(map(str, range(859, -861, -1)))}"],
 ]
 
 

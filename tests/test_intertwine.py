@@ -438,7 +438,7 @@ def test_distribution_Gprime_frozen():
     assert abs(d.prefactor) == SymScalar(Fraction(1), 4, 1)  # 4 pi
     d22 = distribution_Gprime(H("-1/2,-3/2"), DualPair(2, 2))
     assert d22.poly == distribution_G(H("3/2,1/2"), DualPair(2, 2)).poly * Fraction(-1)
-    assert distribution_Gprime(H("0,-3/2"), DualPair(1, 2)).is_zero()
+    assert distribution_Gprime(H("1/2,-3/2"), DualPair(1, 2)).is_zero()  # wrong parity
     assert distribution_Gprime(H("1,-2"), DualPair(1, 2)).is_zero()
 
 

@@ -43,6 +43,13 @@ def H(text):
     return HCParam.parse(text)
 
 
+MIXED = "entries must all be integers or all half-integers"
+
+
+def mixed(xs) -> bool:
+    return len({x % 2 for x in xs}) > 1
+
+
 def test_dual_pair_validation():
     with pytest.raises(ValueError):
         DualPair(0, 2)
@@ -56,6 +63,23 @@ def test_hcparam_requires_strict_dominance():
     with pytest.raises(ValueError):
         HCParam([0, 1])
     HighestWeight([1, 1])  # weakly decreasing is fine for weights
+
+
+@pytest.mark.parametrize("cls", [HCParam, HighestWeight])
+def test_a_tuple_of_both_classes_is_refused(cls):
+    message = f"{MIXED}: ['16', '1/2', '0']"
+    for build in (
+        lambda: cls.parse("16,1/2,0"),
+        lambda: cls(["16", "1/2", "0"]),
+        lambda: cls([16, Fraction(1, 2), 0]),
+        lambda: cls.from_doubled([32, 1, 0]),
+    ):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+    with pytest.raises(ValueError, match=MIXED):
+        cls.from_doubled([3, 2])
+    assert cls.parse("5/2,1/2,-3/2").doubled == (5, 1, -3)
 
 
 def test_delta_values():
@@ -110,7 +134,7 @@ def test_s0_apply():
 
 def test_occurs_Gprime():
     assert occurs_Gprime(H("0,-2"), DualPair(1, 2))
-    assert not occurs_Gprime(H("0,-1/2"), DualPair(1, 2))  # parity
+    assert occurs_Gprime_reason(H("1/2,-3/2"), DualPair(1, 2)) == (False, "parity")
     assert not occurs_Gprime(H("1,-2"), DualPair(1, 2))  # tail != rho-string
     assert occurs_Gprime(H("-1/2"), DualPair(1, 1))
     assert not occurs_Gprime(H("1/2"), DualPair(1, 1))
@@ -118,11 +142,16 @@ def test_occurs_Gprime():
 
 def test_occurs_Gprime_at_equal_ranks_is_occurs_G_of_the_partner():
     # at l = l' the second-member test on mu' is the first-member test on
-    # -(mu' reversed), reason included; every mu' with |mu'_j| <= 13/2
+    # -(mu' reversed), reason included; every mu' with |mu'_j| <= 13/2 (one of
+    # both classes is no parameter)
     entries = range(13, -14, -1)
     for l in range(1, 5):
         pair = DualPair(l, l)
         for combo in combinations(entries, l):
+            if mixed(combo):
+                with pytest.raises(ValueError, match=MIXED):
+                    HCParam.from_doubled(combo)
+                continue
             mup = HCParam.from_doubled(combo)
             mu = HCParam.from_doubled(-x for x in reversed(combo))
             assert occurs_Gprime_reason(mup, pair) == occurs_G_reason(mu, pair)
@@ -147,8 +176,8 @@ def test_dim_weyl():
 
 def test_dim_weyl_matches_the_fraction_product():
     # doubled entries drawn from [-30, 30], or walked down from there in steps
-    # of 1 to 4 (mixed parity, and runs of consecutive entries at steps of 2):
-    # the same int, or ValueError on both sides
+    # of 1 to 4 (both classes, and runs of consecutive entries at steps of 2):
+    # the same int, or, for entries of both classes, no parameter
     rng = random.Random(15)
     ints = 0
     for _ in range(4000):
@@ -159,24 +188,21 @@ def test_dim_weyl_matches_the_fraction_product():
             xs = [rng.randint(-30, 30)]
             for _ in range(n - 1):
                 xs.append(xs[-1] - rng.choice([1, 2, 2, 2, 3, 4]))
-        mu = HCParam.from_doubled(xs)
-        try:
-            expected = dim_weyl_reference(mu)
-        except ValueError:
-            with pytest.raises(ValueError, match="not strictly dominant"):
-                dim_weyl(mu)
+        if mixed(xs):
+            with pytest.raises(ValueError, match=MIXED):
+                HCParam.from_doubled(xs)
             continue
-        assert dim_weyl(mu) == expected, xs
+        mu = HCParam.from_doubled(xs)
+        assert dim_weyl(mu) == dim_weyl_reference(mu), xs
         ints += 1
     assert 1000 < ints < 3900
 
 
 def test_dim_weyl_log_matches_the_exact_dimension():
-    # the same seeded parameters as above, and more: log dim to a few ulps of
-    # the scale, or dim_weyl's ValueError (mixed classes) without building the
-    # product; a parameter of both classes can still have an integer product
+    # the same seeded draw as above, and more: log dim to a few ulps of the
+    # scale, or, for entries of both classes, no parameter
     rng = random.Random(16)
-    mixed_ints = 0
+    ones = 0
     for _ in range(4000):
         n = rng.randint(1, 12)
         if rng.random() < 0.4:
@@ -185,18 +211,17 @@ def test_dim_weyl_log_matches_the_exact_dimension():
             xs = [rng.randint(-30, 30)]
             for _ in range(n - 1):
                 xs.append(xs[-1] - rng.choice([1, 2, 2, 2, 3, 4]))
-        mu = HCParam.from_doubled(xs)
-        try:
-            expected = dim_weyl(mu)
-        except ValueError:
-            with pytest.raises(ValueError, match="not strictly dominant"):
-                dim_weyl_log(mu)
+        if mixed(xs):
+            with pytest.raises(ValueError, match=MIXED):
+                HCParam.from_doubled(xs)
             continue
+        mu = HCParam.from_doubled(xs)
         size, scale = dim_weyl_log(mu)
-        assert abs(size - log(expected)) <= 1e-12 * max(1.0, scale), xs
-        mixed_ints += len({x % 2 for x in xs}) == 2
-    assert dim_weyl(H("8,1/2,0")) == 15 and dim_weyl_log(H("8,1/2,0"))[0] == pytest.approx(log(15))
-    assert mixed_ints >= 1
+        assert abs(size - log(dim_weyl(mu))) <= 1e-12 * max(1.0, scale), xs
+        ones += 1
+    assert 500 < ones < 3500  # 863 of the 4000 are of one class
+    with pytest.raises(ValueError, match=MIXED):
+        H("8,1/2,0")  # whose Weyl product, 15, was once taken for a dimension
     # long runs, huge entries and gaps: ratios from log_falling's Stirling branch
     for xs in ([*range(4000, 3000, -2), -5000], [*range(2 * 10**20, 2 * 10**20 - 200, -2), 0, -6]):
         mu = HCParam.from_doubled(xs)
@@ -212,9 +237,9 @@ def test_dim_weyl_log_stops_at_a_lower_bound():
     assert dim_weyl_log(mu)[0] == pytest.approx(whole)
     partial = dim_weyl_log(mu, 100.0)[0]
     assert 100.0 < partial <= 100.0 + log(2) + 1e-9
-    # both classes: no partial sum is a lower bound, so the sum runs to the end
-    mixed = HCParam.from_doubled([*range(0, -4 * 300, -4), -1201])
-    assert dim_weyl_log(mixed, 100.0)[0] == pytest.approx(log(dim_weyl(mixed)))
+    # entries of both classes, where no partial sum is a lower bound, are no parameter
+    with pytest.raises(ValueError, match=MIXED):
+        HCParam.from_doubled([*range(0, -4 * 300, -4), -1201])
 
 
 def test_dim_piprime_frozen():
