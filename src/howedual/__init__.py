@@ -10,7 +10,7 @@ from it here) loads numpy and is imported on first use.
 
 import importlib
 
-from .exact import MultiPoly, Rat, SymScalar, det, factorial, rising
+from .exact import MultiPoly, SymScalar, det, factorial, rising
 from .intertwine import (
     DistributionData,
     constants,
@@ -36,6 +36,7 @@ from .reps import (
     correspond,
     correspond_back,
     delta_of,
+    dim_partner,
     dim_piprime,
     dim_weyl,
     hc_param,

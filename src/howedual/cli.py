@@ -15,11 +15,12 @@ Only the numeric subcommands load numpy: ``eval``, ``dist --at`` and
 
 A dimension past the print limit (the interpreter's integer-string limit,
 or 4300 digits where it has none) is refused here, before it is built,
-from its logarithm (``reps.dim_piprime_log`` and ``reps.dim_partner_log``
-for the dim Pi' bracket, ``reps.dim_weyl_log`` for every Weyl dimension);
-the library's ``dim_piprime`` and ``dim_weyl`` themselves always return the
-exact integer.  The integer flags are read by ``exact.parse_int``, which
-holds them to the same limit at every interpreter setting.
+from its logarithm: ``reps.dim_partner_log`` for the dim Pi' bracket,
+read from the partner mu on both sides by ``_dim_partner``, and
+``reps.dim_weyl_log`` for every Weyl dimension.  The library's
+``dim_partner`` and ``dim_weyl`` themselves always return the exact
+integer.  The integer flags are read by ``exact.parse_int``, which holds
+them to the same limit at every interpreter setting.
 """
 
 from __future__ import annotations
@@ -46,9 +47,8 @@ from .reps import (
     HighestWeight,
     correspond,
     correspond_back,
+    dim_partner,
     dim_partner_log,
-    dim_piprime,
-    dim_piprime_log,
     dim_weyl,
     dim_weyl_log,
     hc_param,
@@ -104,20 +104,12 @@ def _load_matrix(path: str, pair: DualPair) -> np.ndarray:
     return mat
 
 
-def _dim_piprime(mup: HCParam, pair: DualPair) -> int:
-    """``dim_piprime`` of an occurring parameter, refused before it is built
-    past the print limit."""
-    check_digits("dim Pi'", *dim_piprime_log(mup, pair))
-    return dim_piprime(mup, pair)
-
-
-def _partner(mu: HCParam, pair: DualPair) -> tuple[HCParam, int]:
-    """``correspond(mu, pair)`` and its dim Pi'.  dim Pi' is refused past
-    the print limit from mu alone, before ``correspond`` checks l' and
-    builds the partner's l' entries."""
+def _dim_partner(mu: HCParam, pair: DualPair) -> int:
+    """dim Pi' of the partner of mu, refused past the print limit from mu
+    alone, before ``dim_partner`` checks l' and before any of the partner's
+    l' entries is built."""
     check_digits("dim Pi'", *dim_partner_log(mu, pair))
-    mup = correspond(mu, pair)
-    return mup, dim_piprime(mup, pair)
+    return dim_partner(mu, pair)
 
 
 def _dim_weyl(what: str, mu: HCParam) -> int:
@@ -155,10 +147,13 @@ def _cmd_correspond(args) -> tuple[int, dict]:
     if args.back:
         mup = _mup_from(args, "with --back")
         mu = correspond_back(mup, pair)
-        return 0, {"dim_pi_prime": _dim_piprime(mup, pair), "mu": mu.to_json(), "dim_pi": _dim_weyl("dim Pi", mu)}
+        return 0, {"dim_pi_prime": _dim_partner(mu, pair), "mu": mu.to_json(), "dim_pi": _dim_weyl("dim Pi", mu)}
     mu = _mu_from(args, pair)
-    mup, dim_pi_prime = _partner(mu, pair)
-    return 0, {"dim_pi_prime": dim_pi_prime, "mu_prime": mup.to_json(), "dim_pi": _dim_weyl("dim Pi", mu)}
+    return 0, {
+        "dim_pi_prime": _dim_partner(mu, pair),
+        "mu_prime": correspond(mu, pair).to_json(),
+        "dim_pi": _dim_weyl("dim Pi", mu),
+    }
 
 
 def _cmd_dims(args) -> tuple[int, dict]:
@@ -168,15 +163,16 @@ def _cmd_dims(args) -> tuple[int, dict]:
         payload = {"dim_pi_prime": _dim_weyl("dim Pi'", mup)}
         ok, _ = occurs_Gprime_reason(mup, pair)
         if ok:
-            payload["dim_pi_prime_formula"] = _dim_piprime(mup, pair)
-            payload["dim_pi"] = _dim_weyl("dim Pi", correspond_back(mup, pair))
+            mu = correspond_back(mup, pair)
+            payload["dim_pi_prime_formula"] = _dim_partner(mu, pair)
+            payload["dim_pi"] = _dim_weyl("dim Pi", mu)
         return 0, payload
     mu = _mu_from(args, pair)
     payload = {"dim_pi": _dim_weyl("dim Pi", mu)}
     ok, _ = occurs_G_reason(mu, pair)
     if ok:
-        mup, payload["dim_pi_prime"] = _partner(mu, pair)  # refused before mu' is serialized
-        payload["mu_prime"] = mup.to_json()
+        payload["dim_pi_prime"] = _dim_partner(mu, pair)  # refused before mu' is built
+        payload["mu_prime"] = correspond(mu, pair).to_json()
     return 0, payload
 
 

@@ -3,11 +3,11 @@
 Every normalization constant handled by this library is a rational multiple
 of 2^(h/2) * pi^q * i^r with integer h, q, r, so it can be stored and
 multiplied without any rounding.  Rationals themselves are plain
-``fractions.Fraction`` values (re-exported as ``Rat``).  ``MultiPoly`` is
-the one exact polynomial type: sparse, in any number of variables, stored
-as integer numerators over one denominator in lowest terms (the family
-P_{a,b,2} is a one-variable MultiPoly).  Its Fraction coefficients and
-its float form are views built on first use.
+``fractions.Fraction`` values.  ``MultiPoly`` is the one exact polynomial
+type: sparse, in any number of variables, stored as integer numerators
+over one denominator in lowest terms (the family P_{a,b,2} is a
+one-variable MultiPoly).  Its Fraction coefficients and its float form
+are views built on first use.
 
 The module also sizes exact numbers before they are built: logs of
 factorial products taken from exact integers, and ``check_digits``, the
@@ -28,7 +28,6 @@ from operator import add, mul
 from types import MappingProxyType
 
 __all__ = [
-    "Rat",
     "SymScalar",
     "MultiPoly",
     "factorial",
@@ -46,8 +45,6 @@ __all__ = [
     "parse_int",
     "format_doubled",
 ]
-
-Rat = Fraction
 
 
 def rising(a, k: int):

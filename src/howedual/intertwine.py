@@ -30,17 +30,20 @@ and ``eigvalsh_jacobi``, the two functions that need it, so importing this
 module does not load it.
 
 The second member runs the same pipeline on the first l entries of s0 mu'
-with the index pair (a, b) of ``ab_params`` exchanged.
+with the index pair (a, b) of ``ab_params`` exchanged.  That is the
+paper's own second computation, kept so that a fault in it (say, a and b
+not exchanged) shows; only its factorial-ratio factor reads the partner mu.
 
 The module also carries the normalization-constant chain, built from
 vol(U_n), and the multiplicity-one identity |T(0)| = 2 * vol(U_l) * dim Pi'
 as three independent formulas: the closed form of |T(0)| (the dim Pi'
-bracket of ``reps.dim_piprime``), the l x l minor of derivative values at
-0, and Weyl's formula for dim Pi'.  Distributions and values at zero take
-their prefactors from the part of the chain that ``constants`` extends by
-vol(U_l') and vol(S^h1), memoized per pair, so they never build
-0! 1! ... (l'-1)!; ``constants`` refuses a vol(U_l') too long for ``str``,
-sized in O(log l') from the Barnes G expansion of log(0! 1! ... (l'-1)!).
+bracket of ``reps.dim_partner``, read from mu), the l x l minor of
+derivative values at 0, and Weyl's formula for dim Pi'.  Distributions
+and values at zero take their prefactors from the part of the chain that
+``constants`` extends by vol(U_l') and vol(S^h1), memoized per pair, so
+they never build 0! 1! ... (l'-1)!; ``constants`` refuses a vol(U_l') too
+long for ``str``, sized in O(log l') from the Barnes G expansion of
+log(0! 1! ... (l'-1)!).
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from .reps import (
     HCParam,
     ab_params,
     correspond,
-    dim_piprime,
+    dim_partner,
     dim_weyl,
     mysterious_factor,
     mysterious_factor_log,
@@ -429,13 +432,11 @@ def value_at_zero_closed(mu: HCParam, pair: DualPair) -> SymScalar:
 
     The bracket 2^(l l' - l(l+1)/2) * prod_j (mu_j+delta-1)! /
     ((l'-j)! (mu_j-delta)!) * prod_{j<k} (mu_j-mu_k) is
-    2^(l l' - l(l+1)/2) * dim Pi', taken from ``dim_piprime`` of the
-    partner; constants of modulus one are normalized away.
+    2^(l l' - l(l+1)/2) * dim Pi', taken from ``dim_partner`` of mu;
+    constants of modulus one are normalized away.
     """
-    if not occurs_G(mu, pair):
-        raise ValueError("parameter does not occur")
     two_pow = pair.l * pair.lp - pair.l * (pair.l + 1) // 2
-    bracket = SymScalar(dim_piprime(correspond(mu, pair), pair), 2 * two_pow)
+    bracket = SymScalar(dim_partner(mu, pair), 2 * two_pow)
     return abs(_value_prefactor(pair) * bracket)
 
 
@@ -459,7 +460,7 @@ def value_at_zero_oracle(mu: HCParam, pair: DualPair) -> SymScalar:
 def multiplicity_one_check(mu: HCParam, pair: DualPair) -> bool:
     """|T(0)| = 2 vol(U_l) dim Pi' computed three ways.
 
-    The closed form (the ``dim_piprime`` bracket), the minor of derivative
+    The closed form (the ``dim_partner`` bracket), the minor of derivative
     values at 0 and 2 vol(U_l) dim Pi' with dim Pi' from Weyl's formula on
     the partner must agree exactly as symbolic scalars.
     """

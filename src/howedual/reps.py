@@ -7,11 +7,13 @@ dim Pi' bracket.  Entries are all integers or all half-integers (those of
 an occurring parameter lie in delta + Z, delta = (l' - l + 1)/2), so a
 parameter holds them doubled, ints of one parity checked at construction,
 and all of this works on those ints.  ``DualPair`` enforces l <= l' at
-construction, so no operation checks it again.  Computations for the
-second member are expressed on the embedded Cartan of the first through
-s0 and delta: -(s0 mu')_j, j <= l, plays the role of a first-member entry
-with a and b exchanged.  A second-member parameter has l' entries, so an
-l' past ``MAX_RANK`` is refused before any such tuple is built.
+construction, so no operation checks it again.  The numbers of the
+second member are written, as in the paper, in the entries of the partner
+mu = ``correspond_back(mu')``: the dim Pi' bracket has one home,
+``dim_partner(mu)``, and ``dim_piprime``, ``mysterious_factor`` and
+their logs read mu.  Only ``s0_apply`` and ``correspond_back`` take
+mu' apart.  A second-member parameter has l' entries, so an l' past
+``MAX_RANK`` is refused before any such tuple is built.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ __all__ = [
     "correspond_back",
     "dim_weyl",
     "dim_weyl_log",
+    "dim_partner",
     "dim_piprime",
-    "dim_piprime_log",
     "dim_partner_log",
     "ab_params",
     "mysterious_factor",
@@ -330,56 +332,52 @@ def dim_weyl_log(mu: HCParam, stop: float = inf) -> tuple[float, float]:
     return total, scale
 
 
-def dim_piprime(mup: HCParam, pair: DualPair) -> int:
-    """Dimension of the second-member representation from its occurrence data.
+def dim_partner(mu: HCParam, pair: DualPair) -> int:
+    """Dimension of the partner representation on the second member, from mu.
 
-    The bracket prod_j (x_j+delta-1)!/(x_j-delta)! * prod_{j<k} (x_j - x_k)
-    / prod_{j<=l} (l'-j)! over x = -mu'_{l'}, ..., -mu'_{l'-l+1}, the
-    entries of the partner mu, in integers from the doubled entries, as
-    prod_j comb(x_j+delta-1, l'-l) * prod_{j<k} (x_j - x_k) over
+    The bracket prod_j (mu_j+delta-1)!/(mu_j-delta)! * prod_{j<k} (mu_j - mu_k)
+    / prod_{j<=l} (l'-j)!, in integers from the doubled entries, as
+    prod_j comb(mu_j+delta-1, l'-l) * prod_{j<k} (mu_j - mu_k) over
     prod_{j<l} perm(l'-1-j, l-1-j): 2 delta - 1 = l' - l, so (l'-l)!^l
     cancels and the cost follows the size of the answer, not l'.  This is
-    the one place the bracket is computed: ``intertwine.value_at_zero_closed``
-    reads it.  Agrees with ``dim_weyl``.
+    the one place the bracket is computed.  Agrees with ``dim_weyl`` of
+    ``correspond(mu, pair)``.  ValueError, in ``correspond``'s words, when
+    mu does not occur, then for l' past ``MAX_RANK``.
     """
-    if not occurs_Gprime(mup, pair):
-        raise ValueError("parameter does not occur")
+    if not occurs_G(mu, pair):
+        raise ValueError(_NO_PARTNER)
+    _check_rank(pair)
     l, k = pair.l, pair.lp - pair.l
-    tail = mup.doubled[k:]  # -2 mu_l, ..., -2 mu_1
-    num = prod(comb((k - 1 - x) // 2, k) for x in tail) * prod(x - y for x, y in combinations(tail, 2))
+    num = prod(comb((x + k - 1) // 2, k) for x in mu.doubled) * prod(x - y for x, y in combinations(mu.doubled, 2))
     dim, rem = divmod(num, prod(perm(k + j, j) for j in range(l)) << (l * (l - 1) // 2))
     if rem:
         raise ValueError("dimension formula did not produce an integer")
     return dim
 
 
-def dim_piprime_log(mup: HCParam, pair: DualPair) -> tuple[float, float]:
-    """log dim Pi' of an occurring parameter, and the sum of the magnitudes
-    of the terms it is summed from (its float error is a few ulps of that).
-
-    The three factors of ``dim_piprime`` in logs, each term from exact
-    integers: ``log_falling`` for each factorial ratio, log|2x - 2y| - log 2
-    for each root difference and ``log_factorial`` for each (l'-j)!.  So an
-    entry of any size is taken without overflow or cancellation, in
-    O(l^2) float operations.
-    """
-    return _bracket_log(mup.doubled[pair.lp - pair.l :], pair)
+def dim_piprime(mup: HCParam, pair: DualPair) -> int:
+    """``dim_partner`` of ``correspond_back(mup, pair)``: the dimension of
+    the second-member representation from its occurrence data."""
+    return dim_partner(correspond_back(mup, pair), pair)
 
 
 def dim_partner_log(mu: HCParam, pair: DualPair) -> tuple[float, float]:
-    """``dim_piprime_log`` of ``correspond(mu, pair)``, from mu alone: the
-    partner's last l entries are -mu reversed, so none of its l' entries is
-    built.  ValueError, in ``correspond``'s words, when mu does not occur."""
+    """log ``dim_partner(mu, pair)``, and the sum of the magnitudes of the
+    terms it is summed from (its float error is a few ulps of that).
+
+    The three factors of the bracket in logs, each term from exact
+    integers: ``log_falling`` for each factorial ratio, log(2mu_j - 2mu_k)
+    - log 2 for each root difference and ``log_factorial`` for each
+    (l'-j)!.  So an entry of any size is taken without overflow or
+    cancellation, in O(l^2) float operations, and none of the partner's l'
+    entries is built.  ValueError, in ``correspond``'s words, when mu does
+    not occur.
+    """
     if not occurs_G(mu, pair):
         raise ValueError(_NO_PARTNER)
-    return _bracket_log(tuple(-x for x in reversed(mu.doubled)), pair)
-
-
-def _bracket_log(tail, pair: DualPair) -> tuple[float, float]:
-    """The sums of ``dim_piprime_log`` over the last l doubled entries of mu'."""
     d2 = _delta2(pair)
-    ratios = fsum(log_falling((d2 - x) // 2 - 1, d2 - 1) for x in tail)
-    roots = [log(abs(x - y)) - log(2) for x, y in combinations(tail, 2)]
+    ratios = fsum(log_falling((x + d2) // 2 - 1, d2 - 1) for x in mu.doubled)
+    roots = [log(x - y) - log(2) for x, y in combinations(mu.doubled, 2)]
     facts = fsum(map(log_factorial, range(pair.lp - pair.l, pair.lp)))
     return ratios + fsum(roots) - facts, ratios + fsum(map(abs, roots)) + facts
 
@@ -396,16 +394,15 @@ def ab_params(mu: HCParam, pair: DualPair) -> tuple[tuple[int, int], ...]:
 
 
 def mysterious_factor(mup: HCParam, pair: DualPair) -> SymScalar:
-    """The factorial ratios of ``dim_piprime``, prod_j perm(x_j + delta - 1,
-    2 delta - 1) on x = -(s0 mu')_j, j <= l.
+    """The factorial ratios of the dim Pi' bracket,
+    prod_j perm(mu_j + delta - 1, 2 delta - 1), on the entries of the
+    partner mu = ``correspond_back(mup, pair)``.
 
     For an occurring parameter this equals
     (dim Pi' / dim Pi) * prod_{j<=l} (l'-j)!/(l-j)!, a positive rational.
     """
-    if not occurs_Gprime(mup, pair):
-        raise ValueError("parameter does not occur")
     k = pair.lp - pair.l
-    return SymScalar(prod(perm((k - 1 - x) // 2, k) for x in s0_apply(mup, pair)[: pair.l]))
+    return SymScalar(prod(perm((x + k - 1) // 2, k) for x in correspond_back(mup, pair).doubled))
 
 
 def mysterious_factor_log(mup: HCParam, pair: DualPair) -> tuple[float, float]:
@@ -414,6 +411,6 @@ def mysterious_factor_log(mup: HCParam, pair: DualPair) -> tuple[float, float]:
     perm(n, k) from ``log_falling``, less log 2 times its 2-adic valuation
     k - s(n) + s(n - k), s the binary digit sum."""
     k = pair.lp - pair.l
-    ns = [(k - 1 - x) // 2 for x in mup.doubled[k:]]
+    ns = [(x + k - 1) // 2 for x in correspond_back(mup, pair).doubled]
     ratios = fsum(log_falling(n, k) for n in ns)
     return ratios - log(2) * sum(k - n.bit_count() + (n - k).bit_count() for n in ns), ratios

@@ -539,7 +539,7 @@ def test_multiplicity_one_exhaustive():
             assert value_at_zero_closed(mu, pair) == target
 
 
-@pytest.mark.parametrize("side", ["dim_weyl", "dim_piprime", "det"])
+@pytest.mark.parametrize("side", ["dim_weyl", "dim_partner", "det"])
 def test_multiplicity_one_check_compares_three_formulas(monkeypatch, side):
     # Weyl's formula (target), the dim Pi' bracket (closed form) and the
     # minor's determinant (oracle) are separate inputs: doubling any one of

@@ -18,6 +18,7 @@ from howedual import (
     correspond,
     correspond_back,
     delta_of,
+    dim_partner,
     dim_piprime,
     dim_weyl,
     hc_param,
@@ -28,11 +29,11 @@ from howedual import (
     rho,
     rho_pp,
     s0_apply,
+    value_at_zero_closed,
 )
 from howedual.reps import (
     MAX_RANK,
     dim_partner_log,
-    dim_piprime_log,
     dim_weyl_log,
     occurs_G_reason,
     occurs_Gprime_reason,
@@ -277,14 +278,14 @@ def test_dim_piprime_log_matches_the_exact_dimension():
     ]
     for pair, mu in cases:
         mup = correspond(mu, pair)
-        log_dim, scale = dim_piprime_log(mup, pair)
+        log_dim, scale = dim_partner_log(correspond_back(mup, pair), pair)
         assert abs(log_dim - log(dim_piprime(mup, pair))) <= 1e-14 * scale + 1e-14, (pair, mu)
 
 
 def test_dim_partner_log_is_the_log_of_the_built_partner():
     for pair in all_pairs():
         for mu in occurring_params(pair):
-            assert dim_partner_log(mu, pair) == dim_piprime_log(correspond(mu, pair), pair)
+            assert dim_partner(mu, pair) == dim_piprime(correspond(mu, pair), pair)
     with pytest.raises(ValueError, match="^parameter does not occur; no partner exists$"):
         dim_partner_log(H("0"), DualPair(1, 2))
     # l' = 10^12 is sized without its l' entries: dim Pi' = 1 at mu = delta
@@ -297,8 +298,9 @@ def test_a_second_rank_past_the_bound_is_refused_before_any_tuple_is_built():
     huge = DualPair(1, 10**12)
     with pytest.raises(ValueError, match=past):
         rho_pp(huge)
-    with pytest.raises(ValueError, match=past):
-        correspond(H(str(5 * 10**11)), huge)
+    for call in (correspond, dim_partner, value_at_zero_closed):
+        with pytest.raises(ValueError, match=past):
+            call(H(str(5 * 10**11)), huge)
     # every refusal that comes first keeps its words
     with pytest.raises(ValueError, match="^parameter does not occur; no partner exists$"):
         correspond(H("0"), huge)
