@@ -249,29 +249,34 @@ def parse_int(text: str) -> int:
 def det(rows) -> Fraction:
     """Exact determinant of a square matrix of ints or Fractions.
 
-    Fraction-free (Bareiss 1968) elimination: after step k every entry of
-    the trailing block is a (k+1)-minor, so each division is exact.  A zero
-    pivot is replaced by swapping in a lower row.  The empty matrix has
-    determinant 1.
+    Each row is scaled once by the lcm of its denominators, so the
+    elimination runs on ints and the determinant is that of the int matrix
+    over the product of the scales.  Fraction-free (Bareiss 1968)
+    elimination: after step k every entry of the trailing block is a
+    (k+1)-minor, so each division is exact and ``//`` loses nothing.  A
+    zero pivot is replaced by swapping in a lower row.  The empty matrix
+    has determinant 1.
     """
     a = [[Fraction(x) for x in row] for row in rows]
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
-    sign, prev = 1, Fraction(1)
+    scales = [lcm(*(x.denominator for x in row)) for row in a]
+    m = [[x.numerator * (s // x.denominator) for x in row] for s, row in zip(scales, a)]
+    sign, prev = 1, 1
     for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
             if swap is None:
                 return Fraction(0)
-            a[k], a[swap] = a[swap], a[k]
+            m[k], m[swap] = m[swap], m[k]
             sign = -sign
-        pivot = a[k][k]
+        pivot = m[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) / prev
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
         prev = pivot
-    return sign * a[-1][-1] if n else Fraction(1)
+    return Fraction(sign * m[-1][-1], prod(scales)) if n else Fraction(1)
 
 
 def _odd_part(fr: Fraction) -> tuple[Fraction, int]:

@@ -75,6 +75,7 @@ from .reps import (
     HCParam,
     ab_params,
     correspond,
+    correspond_back,
     dim_partner,
     dim_weyl,
     mysterious_factor,
@@ -381,17 +382,19 @@ def distribution_Gprime(mup: HCParam, pair: DualPair) -> DistributionData:
 
     Same pipeline on the first l entries of s0 mu' with the index pair
     exchanged, P_{b_j, a_j, 2}, and the factorial-ratio factor of
-    ``mysterious_factor`` in the prefactor, whose rational is +- the odd
-    part of that factor (C_bullet's is +-1): one too long for ``str`` is
-    refused from ``mysterious_factor_log`` before anything is built.
+    ``mysterious_factor`` of the partner mu = ``correspond_back(mu')`` in
+    the prefactor, whose rational is +- the odd part of that factor
+    (C_bullet's is +-1): one too long for ``str`` is refused from
+    ``mysterious_factor_log`` before anything is built.
     """
     l = pair.l
     if not occurs_Gprime(mup, pair):
         return DistributionData(SymScalar.zero(), MultiPoly.zero(l))
-    check_digits("the prefactor", *mysterious_factor_log(mup, pair))
+    mu = correspond_back(mup, pair)
+    check_digits("the prefactor", *mysterious_factor_log(mu, pair))
     head = HCParam.from_doubled(s0_apply(mup, pair)[:l])  # mu'_{l'-l+1} > ... > mu'_{l'}
     inv = _pipeline([(b, a) for a, b in ab_params(head, pair)], l)
-    factor = mysterious_factor(mup, pair)
+    factor = mysterious_factor(mu, pair)
     check_printable("the prefactor", factor.rat.numerator)
     return DistributionData(_prefactor(pair, _central_turns(mup)) * factor, inv)
 

@@ -10,10 +10,11 @@ and all of this works on those ints.  ``DualPair`` enforces l <= l' at
 construction, so no operation checks it again.  The numbers of the
 second member are written, as in the paper, in the entries of the partner
 mu = ``correspond_back(mu')``: the dim Pi' bracket has one home,
-``dim_partner(mu)``, and ``dim_piprime``, ``mysterious_factor`` and
-their logs read mu.  Only ``s0_apply`` and ``correspond_back`` take
-mu' apart.  A second-member parameter has l' entries, so an l' past
-``MAX_RANK`` is refused before any such tuple is built.
+``dim_partner(mu)``; ``mysterious_factor`` and the two logs take mu, and
+``dim_piprime(mu')`` reads it through ``correspond_back``.  Only
+``s0_apply`` and ``correspond_back`` take mu' apart.  A second-member
+parameter has l' entries, so an l' past ``MAX_RANK`` is refused before
+any such tuple is built.
 """
 
 from __future__ import annotations
@@ -393,24 +394,30 @@ def ab_params(mu: HCParam, pair: DualPair) -> tuple[tuple[int, int], ...]:
     return tuple([((2 - d2 - x) // 2, (2 - d2 + x) // 2) for x in mu.doubled])
 
 
-def mysterious_factor(mup: HCParam, pair: DualPair) -> SymScalar:
+def mysterious_factor(mu: HCParam, pair: DualPair) -> SymScalar:
     """The factorial ratios of the dim Pi' bracket,
-    prod_j perm(mu_j + delta - 1, 2 delta - 1), on the entries of the
-    partner mu = ``correspond_back(mup, pair)``.
+    prod_j perm(mu_j + delta - 1, 2 delta - 1), on the entries of an
+    occurring first-member parameter mu, the partner of mu' =
+    ``correspond(mu, pair)``.
 
-    For an occurring parameter this equals
-    (dim Pi' / dim Pi) * prod_{j<=l} (l'-j)!/(l-j)!, a positive rational.
+    This equals (dim Pi' / dim Pi) * prod_{j<=l} (l'-j)!/(l-j)!, a positive
+    rational.  ValueError, in ``correspond``'s words, when mu does not occur.
     """
+    if not occurs_G(mu, pair):
+        raise ValueError(_NO_PARTNER)
     k = pair.lp - pair.l
-    return SymScalar(prod(perm((x + k - 1) // 2, k) for x in correspond_back(mup, pair).doubled))
+    return SymScalar(prod(perm((x + k - 1) // 2, k) for x in mu.doubled))
 
 
-def mysterious_factor_log(mup: HCParam, pair: DualPair) -> tuple[float, float]:
-    """log of the odd part of ``mysterious_factor`` of an occurring parameter,
-    the rational it carries, and the sum of the magnitudes of its terms: each
-    perm(n, k) from ``log_falling``, less log 2 times its 2-adic valuation
-    k - s(n) + s(n - k), s the binary digit sum."""
+def mysterious_factor_log(mu: HCParam, pair: DualPair) -> tuple[float, float]:
+    """log of the odd part of ``mysterious_factor(mu, pair)``, the rational
+    it carries, and the sum of the magnitudes of its terms: each perm(n, k)
+    from ``log_falling``, less log 2 times its 2-adic valuation
+    k - s(n) + s(n - k), s the binary digit sum.  ValueError, in
+    ``correspond``'s words, when mu does not occur."""
+    if not occurs_G(mu, pair):
+        raise ValueError(_NO_PARTNER)
     k = pair.lp - pair.l
-    ns = [(x + k - 1) // 2 for x in correspond_back(mup, pair).doubled]
+    ns = [(x + k - 1) // 2 for x in mu.doubled]
     ratios = fsum(log_falling(n, k) for n in ns)
     return ratios - log(2) * sum(k - n.bit_count() + (n - k).bit_count() for n in ns), ratios

@@ -118,7 +118,7 @@ def test_criterion_2_correspondence_suite():
             assert occurs_Gprime(mup, pair)
             assert dim_piprime(mup, pair) == dim_weyl(mup)
             expected = Fraction(dim_weyl(mup), dim_weyl(mu)) * scale
-            assert mysterious_factor(mup, pair) == SymScalar(expected)
+            assert mysterious_factor(mu, pair) == SymScalar(expected)
     _report("criterion 2: correspondence suite", t0, 10.0, f"{count} occurring parameters")
 
 
@@ -137,7 +137,7 @@ def test_criterion_3_distribution_suite():
             dgp = distribution_Gprime(mup, pair)
             assert dg.poly == dgp.poly * sign
             ratio = proportionality(mu, mup, pair)
-            assert abs(ratio) * abs(mysterious_factor(mup, pair)) == SymScalar(1)
+            assert abs(ratio) * abs(mysterious_factor(mu, pair)) == SymScalar(1)
         # nonzero iff occurring: bottom entry just below the lattice start
         d = delta_of(pair)
         low = HCParam([d - 1 + k for k in range(pair.l - 1, -1, -1)])
@@ -178,7 +178,7 @@ def test_criterion_6_numeric_integral_suite():
     r = forrester_warnaar_check(1)
     assert r.rel_error < 1e-12  # exact up to roundoff
     r = forrester_warnaar_check(2)
-    assert r.rel_error < 1e-4
+    assert r.rel_error < 1e-12
     r = cayley_volume_check(1, 0, RngStream(0))
     assert r.rel_error < 1e-6
     r = cayley_volume_check(2, 1_000_000, RngStream(0))

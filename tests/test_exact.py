@@ -116,6 +116,18 @@ def test_det_matches_leibniz_randomized():
             assert det(rows) == _leibniz(rows)
 
 
+def test_det_rows_with_different_denominators():
+    # the rows vandermonde_identity builds, rising(z - i, i) for z = p/q with
+    # q <= 12: row j has denominators up to q_j^4, a different lcm per row
+    rng = random.Random(1968)
+    for n in range(1, 6):
+        for _ in range(10):
+            zs = [Fraction(rng.randint(-24, 24), rng.randint(1, 12)) for _ in range(n)]
+            rows = [[rising(z - i, i) for i in range(n)] for z in zs]
+            assert det(rows) == _leibniz(rows)
+    assert det([[1, Fraction(1, 12**4)], [Fraction(1, 7), 2]]) == 2 - Fraction(1, 7 * 12**4)
+
+
 def test_det_small_cases():
     assert det([]) == 1
     assert det([[Fraction(-7, 3)]]) == Fraction(-7, 3)

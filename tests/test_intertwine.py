@@ -476,7 +476,7 @@ def test_distribution_suite_exhaustive():
             sign = (-1) ** (pair.l * (pair.l - 1) // 2)
             assert dg.poly == dgp.poly * Fraction(sign)
             ratio = proportionality(mu, mup, pair)
-            assert abs(ratio) * abs(mysterious_factor(mup, pair)) == SymScalar(1)
+            assert abs(ratio) * abs(mysterious_factor(mu, pair)) == SymScalar(1)
 
 
 def test_non_partner_is_not_proportional():
@@ -568,7 +568,7 @@ def test_rank_four_slice():
             assert multiplicity_one_check(mu, pair)
             mup = correspond(mu, pair)
             ratio = proportionality(mu, mup, pair)
-            assert abs(ratio) * abs(mysterious_factor(mup, pair)) == SymScalar(1)
+            assert abs(ratio) * abs(mysterious_factor(mu, pair)) == SymScalar(1)
             count += 1
     assert count == 65
 

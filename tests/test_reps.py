@@ -35,6 +35,7 @@ from howedual.reps import (
     MAX_RANK,
     dim_partner_log,
     dim_weyl_log,
+    mysterious_factor_log,
     occurs_G_reason,
     occurs_Gprime_reason,
 )
@@ -369,7 +370,7 @@ def test_dimension_identity_exhaustive():
 
 
 def test_mysterious_factor_identity_exhaustive():
-    # prod (-(s0 mu')_j + delta - 1)!/(-(s0 mu')_j - delta)!
+    # prod (mu_j + delta - 1)!/(mu_j - delta)!
     #   = (dim Pi'/dim Pi) prod_{j<=l} (l'-j)!/(l-j)!
     for pair in all_pairs():
         scale = Fraction(1)
@@ -378,7 +379,13 @@ def test_mysterious_factor_identity_exhaustive():
         for mu in occurring_params(pair):
             mup = correspond(mu, pair)
             expected = Fraction(dim_weyl(mup), dim_weyl(mu)) * scale
-            assert mysterious_factor(mup, pair) == SymScalar(expected)
+            assert mysterious_factor(mu, pair) == SymScalar(expected)
+            # the log reads the odd part, the rational the SymScalar carries
+            log_odd, terms = mysterious_factor_log(mu, pair)
+            assert abs(log_odd - log(SymScalar(expected).rat)) <= 1e-14 * terms + 1e-14, (pair, mu)
+    for call in (mysterious_factor, mysterious_factor_log):
+        with pytest.raises(ValueError, match="^parameter does not occur; no partner exists$"):
+            call(H("0"), DualPair(1, 2))
 
 
 def test_central_characters_of_partners():
