@@ -27,7 +27,7 @@ from .intertwine import (
     value_at_zero_oracle,
     vol_unitary,
 )
-from .pab import laguerre, pab2, pab_minus2, pab_piecewise_eval, pab_value_at_zero
+from .pab import pab2
 from .reps import (
     DualPair,
     HCParam,
@@ -40,7 +40,6 @@ from .reps import (
     dim_piprime,
     dim_weyl,
     hc_param,
-    hw_of,
     mysterious_factor,
     occurs_G,
     occurs_Gprime,
@@ -60,7 +59,6 @@ _VERIFY_NAMES = (
     "distribution_invariance",
     "forrester_warnaar_check",
     "gaussian_vandermonde",
-    "haar_unitary",
     "vandermonde_identity",
 )
 

@@ -263,11 +263,17 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _add_mu_args(sub, with_side=False):
+def _add_mu_args(sub):
+    """--mu or --hw; returns their group, so --mu-prime can join it."""
     one = sub.add_mutually_exclusive_group()
     one.add_argument("--mu", help="Harish-Chandra parameter, e.g. 2 or 3/2,1/2")
     one.add_argument("--hw", help="highest weight instead of --mu (converted via rho)")
-    one.add_argument("--mu-prime", dest="mu_prime", help="second-member parameter, e.g. 0,-2")
+    return one
+
+
+def _add_param_args(sub, with_side=False):
+    """A parameter of either member: --mu, --hw or --mu-prime."""
+    _add_mu_args(sub).add_argument("--mu-prime", dest="mu_prime", help="second-member parameter, e.g. 0,-2")
     if with_side:
         sub.add_argument("--side", choices=("g", "gprime"), default="g")
 
@@ -283,18 +289,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("occurs", help="occurrence test for a parameter")
     _add_pair_args(p)
-    _add_mu_args(p, with_side=True)
+    _add_param_args(p, with_side=True)
     p.set_defaults(handler=_cmd_occurs)
 
     p = subs.add_parser("correspond", help="the partner parameter and both dimensions")
     _add_pair_args(p)
-    _add_mu_args(p)
+    _add_param_args(p)
     p.add_argument("--back", action="store_true", help="invert: map mu' back to mu")
     p.set_defaults(handler=_cmd_correspond)
 
     p = subs.add_parser("dims", help="dimension formulas")
     _add_pair_args(p)
-    _add_mu_args(p)
+    _add_param_args(p)
     p.set_defaults(handler=_cmd_dims)
 
     p = subs.add_parser("constants", help="the normalization-constant chain")
@@ -303,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("dist", help="intertwining distribution as exact data")
     _add_pair_args(p)
-    _add_mu_args(p, with_side=True)
+    _add_param_args(p, with_side=True)
     p.add_argument("--at", help="JSON matrix file ([[re,im],...] rows) to evaluate at")
     p.add_argument("--emit-latex", dest="emit_latex", action="store_true")
     p.set_defaults(handler=_cmd_dist)

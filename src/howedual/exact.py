@@ -325,10 +325,6 @@ class SymScalar:
         return cls(Fraction(0))
 
     @classmethod
-    def one(cls) -> "SymScalar":
-        return cls(Fraction(1))
-
-    @classmethod
     def two_pi_power(cls, k: int) -> "SymScalar":
         """(2*pi)^k."""
         return cls(Fraction(1), 2 * k, k, 0)
@@ -378,15 +374,6 @@ class SymScalar:
             self.i_pow + 3 * o.i_pow,
         )
 
-    def __pow__(self, k: int) -> "SymScalar":
-        if self.is_zero():
-            if k <= 0:
-                raise ZeroDivisionError("0 cannot be raised to a nonpositive power")
-            return SymScalar.zero()
-        if k >= 0:
-            return SymScalar(self.rat**k, self.sqrt2_pow * k, self.pi_pow * k, self.i_pow * k)
-        return SymScalar.one() / self ** (-k)
-
     def __abs__(self) -> "SymScalar":
         """Modulus: drops the i-power and the sign of the rational part."""
         return SymScalar(abs(self.rat), self.sqrt2_pow, self.pi_pow, 0)
@@ -398,10 +385,6 @@ class SymScalar:
             raise ValueError("scalar is not real")
         return float(self.rat) * 2.0 ** (self.sqrt2_pow / 2.0) * pi**self.pi_pow
 
-    def to_complex(self) -> complex:
-        mag = float(self.rat) * 2.0 ** (self.sqrt2_pow / 2.0) * pi**self.pi_pow
-        return mag * (1j**self.i_pow)
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -411,27 +394,6 @@ class SymScalar:
             "pi_pow": self.pi_pow,
             "i_pow": self.i_pow,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SymScalar":
-        return cls(
-            Fraction(data["rat"]),
-            int(data["sqrt2_pow"]),
-            int(data["pi_pow"]),
-            int(data["i_pow"]),
-        )
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = [str(self.rat)]
-        if self.sqrt2_pow:
-            parts.append(f"2^({self.sqrt2_pow}/2)")
-        if self.pi_pow:
-            parts.append(f"pi^{self.pi_pow}")
-        if self.i_pow:
-            parts.append("i")
-        return " * ".join(parts)
 
 
 class MultiPoly:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, fsum, inf, log, perm, prod
-from operator import add, ge, gt, sub
+from operator import add, ge, gt
 
 from .exact import SymScalar, format_doubled, log_factorial, log_falling, parse_doubled
 
@@ -37,7 +37,6 @@ __all__ = [
     "rho_pp",
     "is_genuine",
     "hc_param",
-    "hw_of",
     "occurs_G",
     "occurs_G_reason",
     "s0_apply",
@@ -198,16 +197,6 @@ def hc_param(hw: HighestWeight, pair: DualPair) -> HCParam:
     if not is_genuine(hw, pair):
         raise ValueError("highest weight is not genuine: entries - l'/2 must be integers")
     return HCParam.from_doubled(map(add, hw.doubled, rho(pair.l).doubled))
-
-
-def hw_of(mu: HCParam, pair: DualPair) -> HighestWeight:
-    """Inverse of ``hc_param``: lambda = mu - rho, validated for genuineness."""
-    if len(mu) != pair.l:
-        raise ValueError(f"parameter must have {pair.l} entries")
-    hw = HighestWeight.from_doubled(map(sub, mu.doubled, rho(pair.l).doubled))
-    if not is_genuine(hw, pair):
-        raise ValueError("parameter does not come from a genuine highest weight")
-    return hw
 
 
 def _delta_reason(doubled, pair: DualPair) -> str | None:

@@ -38,7 +38,6 @@ from .reps import HCParam, occurs_G
 __all__ = [
     "RngStream",
     "McReport",
-    "haar_unitary",
     "cayley_volume_check",
     "forrester_warnaar_check",
     "gaussian_vandermonde",
@@ -164,16 +163,12 @@ def blocked_mean(rng: RngStream, samples: int, values) -> float:
     return fsum(blocked_sums(rng, samples, values)) / samples
 
 
-def haar_unitary(n: int, rng: RngStream, count: int | None = None) -> np.ndarray:
+def _haar(g: np.random.Generator, n: int, count: int | None = None) -> np.ndarray:
     """Haar-distributed unitaries via complex-Gaussian QR with phase fix.
 
-    Returns an (n, n) matrix, or a stack of shape (count, n, n).
+    Returns an (n, n) matrix, or a stack of shape (count, n, n), drawn from
+    a generator the caller holds.
     """
-    return _haar(rng.generator(), n, count)
-
-
-def _haar(g: np.random.Generator, n: int, count: int | None = None) -> np.ndarray:
-    """The body of ``haar_unitary``, drawing from a generator the caller holds."""
     if n < 1:
         raise ValueError("n must be positive")
     shape = (n, n) if count is None else (count, n, n)
@@ -412,8 +407,13 @@ def _cayley(x: np.ndarray) -> np.ndarray:
     return (x + np.eye(n)) @ np.linalg.inv(x - np.eye(n))
 
 
-def cayley_invariance_check(n: int, rng: RngStream, pairs: int = 50) -> dict[str, float]:
-    """Residuals of the Cayley-transform identities on u_n over random pairs.
+# random pairs of ``cayley_invariance_check`` and trials of ``distribution_invariance``
+_CAYLEY_PAIRS = 50
+_INVARIANCE_TRIALS = 100
+
+
+def cayley_invariance_check(n: int, rng: RngStream) -> dict[str, float]:
+    """Residuals of the Cayley-transform identities on u_n over _CAYLEY_PAIRS random pairs.
 
     Checks c(c(x)) = x, c(-x) = c(x)^(-1), and the Haar-measure identity
     ch^(-2r)(c(c(x)c(y))) * j_y(x) = ch^(-2r)(x) with r = n and
@@ -427,7 +427,7 @@ def cayley_invariance_check(n: int, rng: RngStream, pairs: int = 50) -> dict[str
     res_involution = 0.0
     res_inverse = 0.0
     r = n
-    for _ in range(pairs):
+    for _ in range(_CAYLEY_PAIRS):
         a = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
         b = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
         x = (a - a.conj().T) / 2.0
@@ -458,16 +458,15 @@ def cayley_invariance_check(n: int, rng: RngStream, pairs: int = 50) -> dict[str
 # ---------------------------------------------------------------------------
 
 
-def distribution_invariance(
-    mu: HCParam, pair: DualPair, trials: int, rng: RngStream
-) -> float:
-    """Max relative deviation of the distribution under w -> g w g'^(-1)."""
+def distribution_invariance(mu: HCParam, pair: DualPair, rng: RngStream) -> float:
+    """Max relative deviation of the distribution under w -> g w g'^(-1),
+    over _INVARIANCE_TRIALS random w, g and g'."""
     if not occurs_G(mu, pair):
         raise ValueError("parameter does not occur")
     data = distribution_G(mu, pair)
     g = rng.generator()
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(_INVARIANCE_TRIALS):
         w = (
             g.standard_normal((pair.l, pair.lp))
             + 1j * g.standard_normal((pair.l, pair.lp))
@@ -587,7 +586,7 @@ def run_suite(names, seed: int, samples: int) -> dict:
                     and res["involution"] < 1e-12
                     and res["inverse"] < 1e-12
                 )
-                add(f"cayley_invariance_n{ncase}", ok, {**res, "pairs": 50, "seed": seed})
+                add(f"cayley_invariance_n{ncase}", ok, {**res, "pairs": _CAYLEY_PAIRS, "seed": seed})
         elif name == "cw_identity":
             for l, lp in ((1, 1), (1, 2), (2, 2)):
                 add(f"cw_identity_{l}_{lp}", cw_identity_check(DualPair(l, lp)), {})
@@ -597,10 +596,10 @@ def run_suite(names, seed: int, samples: int) -> dict:
                 (HCParam(["3/2", "1/2"]), DualPair(2, 2)),
             ]
             for i, (mu, pr) in enumerate(cases):
-                dev = distribution_invariance(mu, pr, 100, RngStream(seed).shard(8 + i))
+                dev = distribution_invariance(mu, pr, RngStream(seed).shard(8 + i))
                 add(
                     f"distribution_invariance_{pr.l}_{pr.lp}",
                     dev < 1e-9,
-                    {"max_rel_deviation": dev, "trials": 100, "seed": seed},
+                    {"max_rel_deviation": dev, "trials": _INVARIANCE_TRIALS, "seed": seed},
                 )
     return {"checks": checks, "pass": all(c["pass"] for c in checks), "seed": seed}

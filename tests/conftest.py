@@ -1,8 +1,19 @@
+"""Oracles and helpers the tests share.
+
+The one-variable family here extends ``pab.pab2``: its mirror
+P_{a,b,-2}(xi) = P_{b,a,2}(-xi), the glued family, which is 2*pi times
+P_{a,b,2} on xi > 0 and 2*pi times the mirror on xi < 0, its constant term
+in closed form, and the generalized Laguerre polynomials it is checked
+against.
+"""
+
 from fractions import Fraction
 from itertools import combinations
 from math import exp, factorial, fsum, inf, isfinite, pi, prod
+from operator import sub
 
-from howedual import DualPair, HCParam, MultiPoly
+from howedual import DualPair, HCParam, HighestWeight, MultiPoly, SymScalar, pab2, rho, rising
+from howedual.reps import is_genuine
 
 
 def derivative(p: MultiPoly) -> MultiPoly:
@@ -34,6 +45,76 @@ def is_symmetric(p: MultiPoly) -> bool:
 def value_at(p: MultiPoly, x: Fraction) -> Fraction:
     """Exact value of a one-variable polynomial at a rational point."""
     return sum((c * x**d for (d,), c in p.terms.items()), Fraction(0))
+
+
+def pab_minus2(a: int, b: int) -> MultiPoly:
+    """The mirror P_{a,b,-2}(xi) = P_{b,a,2}(-xi)."""
+    return MultiPoly(1, {(d,): -c if d % 2 else c for (d,), c in pab2(b, a).terms.items()})
+
+
+def pab_piecewise_eval(a: int, b: int, xi: float) -> float:
+    """2*pi times the branch value of the glued family P_{a,b}.
+
+    The plus branch P_{a,b,2} is used on xi > 0 and the minus branch
+    P_{a,b,-2} on xi < 0; the half-lines are open, so the value at xi = 0
+    is 0 by convention.
+    """
+    if xi > 0:
+        p = pab2(a, b)
+    elif xi < 0:
+        p = pab_minus2(a, b)
+    else:
+        return 0.0
+    return 2.0 * pi * float(value_at(p, Fraction(xi)))  # summed exactly and rounded once
+
+
+def pab_value_at_zero(a: int, b: int) -> Fraction:
+    """Constant term of P_{a,b,2}: 2^(1-a-b) a(a+1)...(a+b-2) / (b-1)!.
+
+    Requires b >= 1.  When additionally a <= 0 and a + b <= 1 this equals
+    (-1)^(b-1) 2^(1-a-b) binom(-a, -a-b+1).
+    """
+    if b <= 0:
+        raise ValueError("value at zero needs b >= 1")
+    return Fraction(2) ** (1 - a - b) * Fraction(rising(a, b - 1), factorial(b - 1))
+
+
+def laguerre(n: int, alpha: int, x):
+    """Generalized Laguerre polynomial L_n^alpha(x) by the three-term recurrence.
+
+    Works on floats and on Fractions; this is kept independent of ``pab2``
+    so it can serve as an oracle for the confluent-hypergeometric form of
+    that family.
+    """
+    if n < 0:
+        raise ValueError("laguerre needs n >= 0")
+    if n == 0:
+        return 1 + 0 * x
+    prev = 1 + 0 * x
+    cur = alpha + 1 - x
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
+    return cur
+
+
+def hw_of(mu: HCParam, pair: DualPair) -> HighestWeight:
+    """Inverse of ``hc_param``: lambda = mu - rho, validated for genuineness."""
+    if len(mu) != pair.l:
+        raise ValueError(f"parameter must have {pair.l} entries")
+    hw = HighestWeight.from_doubled(map(sub, mu.doubled, rho(pair.l).doubled))
+    if not is_genuine(hw, pair):
+        raise ValueError("parameter does not come from a genuine highest weight")
+    return hw
+
+
+def scalar_to_complex(x: SymScalar) -> complex:
+    """The complex value of an exact scalar."""
+    return float(x.rat) * 2.0 ** (x.sqrt2_pow / 2.0) * pi**x.pi_pow * 1j**x.i_pow
+
+
+def scalar_from_json(data: dict) -> SymScalar:
+    """The inverse of ``SymScalar.to_json``."""
+    return SymScalar(Fraction(data["rat"]), int(data["sqrt2_pow"]), int(data["pi_pow"]), int(data["i_pow"]))
 
 
 def occurring_params(pair: DualPair, max_doubled: int = 13) -> list[HCParam]:

@@ -714,6 +714,8 @@ def test_two_parameter_flags_are_usage_error(capsys, argv, message):
         (["occurs", "--l", "1", "--mu", "2"], "the following arguments are required: --lp"),
         (["occurs", "--l", "1", "--lp", "2", "--bogus"], "unrecognized arguments: --bogus"),
         (["nope"], "argument command: invalid choice: 'nope'"),
+        # eval reads only a first-member parameter
+        (["eval", "--l", "1", "--lp", "2", "--mu-prime=0,-2", "--at", "w.json"], "unrecognized arguments: --mu-prime=0,-2"),
     ],
 )
 def test_argparse_error_is_one_json_document(capsys, argv, message):

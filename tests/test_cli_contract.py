@@ -10,9 +10,16 @@ integer, and writes the same bytes when the interpreter has no
 integer-string limit as at the default of 4300.  A second draw runs
 ``verify`` on suite subsets, small sample budgets and seeds: each run exits
 0 or 3.
+
+Run as a script, ``python tests/test_cli_contract.py`` prints one sha256
+over (argv, exit code, stdout) of every contract run at the default
+integer-string limit and with none, and of every verify run.  Two
+checkouts print the same digest exactly when their CLIs write the same
+bytes on these inputs; ``PYTHONPATH`` picks the ``src`` tree to hash.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -105,6 +112,11 @@ def _draw_verify(rng: random.Random) -> list[str]:
     return ["verify", "--suite", ",".join(names), "--samples", str(samples), "--seed", str(seed)]
 
 
+def _verify_argv() -> list[list[str]]:
+    rng = random.Random(SEED)
+    return [_draw_verify(rng) for _ in range(VERIFY_COUNT)]
+
+
 def _shown(argv) -> list[str]:
     return [a if len(a) < 80 else a[:40] + "..." for a in argv]
 
@@ -159,10 +171,21 @@ def test_no_integer_string_limit_gives_the_output_of_the_default_limit():
 
 
 def test_every_drawn_verify_run_exits_0_or_3():
-    rng = random.Random(SEED)
     codes = set()
-    for argv in [_draw_verify(rng) for _ in range(VERIFY_COUNT)]:
+    for argv in _verify_argv():
         code, _ = _run(argv)
         assert code in (0, 3), argv
         codes.add(code)
     assert codes == {0, 3}
+
+
+if __name__ == "__main__":
+    digest = hashlib.sha256()
+    runs = [
+        *zip(_contract_argv(), _runs_at_print_limit(4300)),
+        *zip(_contract_argv(), _runs_at_print_limit(0)),
+        *((argv, _run(argv)) for argv in _verify_argv()),
+    ]
+    for argv, (code, out) in runs:
+        digest.update(json.dumps([argv, code, out]).encode() + b"\n")
+    print(digest.hexdigest())

@@ -40,11 +40,11 @@ print(value)
 """
 
 ROOT_SCRIPT = """
-import sys
+import importlib, pkgutil, sys
 import howedual
 
 assert "numpy" not in sys.modules
-assert {"verify", "RngStream", "haar_unitary", "McReport"} <= set(dir(howedual))
+assert {"verify", "RngStream", "McReport"} <= set(dir(howedual))
 try:
     howedual.no_such_name
 except AttributeError as exc:
@@ -53,13 +53,23 @@ else:
     raise AssertionError("unknown attribute did not raise")
 assert "numpy" not in sys.modules
 
-from howedual import McReport, RngStream, haar_unitary
+from howedual import McReport, RngStream
 
 import howedual.verify
 
 assert howedual.verify is sys.modules["howedual.verify"]
 assert RngStream is howedual.verify.RngStream and McReport is howedual.verify.McReport
-assert haar_unitary(2, RngStream(0)).shape == (2, 2)
+assert McReport.build(1.0, 1.0, 1, 0).rel_error == 0.0
+assert RngStream(0).generator().random() == RngStream(0).generator().random()
+# every listed name resolves, so a removed one cannot linger as a stale export
+for name in dir(howedual):
+    getattr(howedual, name)
+for info in pkgutil.iter_modules(howedual.__path__):
+    if info.name == "__main__":
+        continue
+    module = importlib.import_module(f"howedual.{info.name}")
+    for name in module.__all__:
+        getattr(module, name)
 print("ok")
 """
 

@@ -5,16 +5,8 @@ from math import factorial
 
 import pytest
 
-from conftest import derivative, value_at
-from howedual import (
-    MultiPoly,
-    laguerre,
-    pab2,
-    pab_minus2,
-    pab_piecewise_eval,
-    pab_value_at_zero,
-    rising,
-)
+from conftest import derivative, laguerre, pab_minus2, pab_piecewise_eval, pab_value_at_zero, value_at
+from howedual import MultiPoly, pab2, rising
 
 TWO_PI = 6.283185307179586
 

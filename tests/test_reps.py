@@ -8,7 +8,7 @@ from math import comb, factorial, log
 
 import pytest
 
-from conftest import all_pairs, dim_weyl_reference, occurring_params
+from conftest import all_pairs, dim_weyl_reference, hw_of, occurring_params
 from howedual import (
     DualPair,
     HCParam,
@@ -22,7 +22,6 @@ from howedual import (
     dim_piprime,
     dim_weyl,
     hc_param,
-    hw_of,
     mysterious_factor,
     occurs_G,
     occurs_Gprime,

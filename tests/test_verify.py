@@ -21,11 +21,11 @@ from howedual import (
     distribution_invariance,
     forrester_warnaar_check,
     gaussian_vandermonde,
-    haar_unitary,
     vandermonde_identity,
 )
 from howedual.exact import rising
 from howedual.verify import (
+    _haar,
     block_layout,
     blocked_mean,
     blocked_sums,
@@ -206,7 +206,7 @@ def test_chunked_threaded_estimates_are_bit_identical():
 def test_haar_unitary_properties():
     rng = RngStream(7)
     for n in (1, 2, 3, 4):
-        u = haar_unitary(n, rng.shard(n), count=100)
+        u = _haar(rng.shard(n).generator(), n, 100)
         res = np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(n)))
         assert res < 1e-12
         assert np.max(np.abs(np.abs(np.linalg.det(u)) - 1)) < 1e-12
@@ -215,7 +215,7 @@ def test_haar_unitary_properties():
 def test_haar_unitary_first_entry_moment():
     # E |U_11|^2 = 1/n for Haar measure
     for n in (2, 3):
-        u = haar_unitary(n, RngStream(100 + n), count=100_000)
+        u = _haar(RngStream(100 + n).generator(), n, 100_000)
         m = float(np.mean(np.abs(u[:, 0, 0]) ** 2))
         assert abs(m - 1.0 / n) < 0.01 / n * 3
 
@@ -406,7 +406,7 @@ def test_dan_determinant():
 
 def test_cayley_invariance():
     for n in (1, 2, 3):
-        res = cayley_invariance_check(n, RngStream(21), pairs=50)
+        res = cayley_invariance_check(n, RngStream(21))
         assert res["identity"] < 1e-10
         assert res["involution"] < 1e-12
         assert res["inverse"] < 1e-12
@@ -421,14 +421,12 @@ def test_cayley_base_point():
 
 
 def test_distribution_invariance():
-    dev = distribution_invariance(HCParam.parse("2"), DualPair(1, 2), 100, RngStream(77))
+    dev = distribution_invariance(HCParam.parse("2"), DualPair(1, 2), RngStream(77))
     assert dev < 1e-9
-    dev22 = distribution_invariance(
-        HCParam.parse("3/2,1/2"), DualPair(2, 2), 50, RngStream(78)
-    )
+    dev22 = distribution_invariance(HCParam.parse("3/2,1/2"), DualPair(2, 2), RngStream(78))
     assert dev22 < 1e-9
     # deterministic under a fixed seed
-    again = distribution_invariance(HCParam.parse("2"), DualPair(1, 2), 100, RngStream(77))
+    again = distribution_invariance(HCParam.parse("2"), DualPair(1, 2), RngStream(77))
     assert dev == again
 
 
