@@ -17,10 +17,13 @@ A dimension past the print limit (the interpreter's integer-string limit,
 or 4300 digits where it has none) is refused here, before it is built,
 from its logarithm: ``reps.dim_partner_log`` for the dim Pi' bracket,
 read from the partner mu on both sides by ``_dim_partner``, and
-``reps.dim_weyl_log`` for every Weyl dimension.  The library's
-``dim_partner`` and ``dim_weyl`` themselves always return the exact
-integer.  The integer flags are read by ``exact.parse_int``, which holds
-them to the same limit at every interpreter setting.
+``reps.dim_weyl_log`` for every Weyl dimension.  One within the float
+error of that logarithm is built and then held to the limit exactly by
+``exact.check_printable``, so the answer is the same at every interpreter
+setting.  The library's ``dim_partner`` and ``dim_weyl`` themselves always
+return the exact integer.  The integer flags are read by
+``exact.parse_int``, which holds them to the same limit at every
+interpreter setting.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import re
 import sys
 from typing import TYPE_CHECKING
 
-from .exact import check_digits, parse_int, print_limit_log
+from .exact import check_digits, check_printable, parse_int, print_limit_log
 from .intertwine import (
     DistributionData,
     constants,
@@ -107,19 +110,25 @@ def _load_matrix(path: str, pair: DualPair) -> np.ndarray:
 def _dim_partner(mu: HCParam, pair: DualPair) -> int:
     """dim Pi' of the partner of mu, refused past the print limit from mu
     alone, before ``dim_partner`` checks l' and before any of the partner's
-    l' entries is built."""
+    l' entries is built; one within the float error of the limit is built
+    and refused by ``check_printable``."""
     check_digits("dim Pi'", *dim_partner_log(mu, pair))
-    return dim_partner(mu, pair)
+    dim = dim_partner(mu, pair)
+    check_printable("dim Pi'", dim)
+    return dim
 
 
 def _dim_weyl(what: str, mu: HCParam) -> int:
-    """``dim_weyl``, refused before it is built past the print limit.  The
+    """``dim_weyl``, refused before it is built past the print limit, or by
+    ``check_printable`` once built when within the float error of it.  The
     log sum may stop once it passes the limit; its digit count is then a
     lower bound, and the message says so."""
     stop = print_limit_log()
     log_size, scale = dim_weyl_log(mu, stop)
     check_digits(what, log_size, scale, at_least=log_size > stop)
-    return dim_weyl(mu)
+    dim = dim_weyl(mu)
+    check_printable(what, dim)
+    return dim
 
 
 def _emit(payload: dict):

@@ -30,7 +30,6 @@ from types import MappingProxyType
 __all__ = [
     "SymScalar",
     "MultiPoly",
-    "factorial",
     "rising",
     "superfactorial",
     "det",
@@ -151,10 +150,12 @@ def check_digits(what: str, log_size: float, scale: float = 0.0, at_least: bool 
     ``log_size`` is a float sum, off by a few ulps of ``scale``, the sum of
     the magnitudes of its terms (``|log_size|`` when that is larger).  Only
     a number past the limit by more than 1e-12 of the scale plus 1e-9 (in
-    log10) is refused, so one nearer the limit is built and ``str`` has the
-    last word.  The count in the message is floor(log10) + 1, which can be
-    one off for a number within that error of a power of ten; ``at_least``
-    says that ``log_size`` is only a lower bound, and so is the count.
+    log10) is refused, so one nearer the limit is built and the caller
+    decides on the built number (``check_printable`` holds an integer to
+    the limit exactly).  The count in the message is floor(log10) + 1,
+    which can be one off for a number within that error of a power of ten;
+    ``at_least`` says that ``log_size`` is only a lower bound, and so is
+    the count.
     """
     limit = _print_limit()
     log10_size = log_size / log(10)

@@ -14,18 +14,18 @@ product) live in the SymScalar prefactor, so the polynomial side stays
 rational.
 
 Every polynomial here, the one-variable factors P_{a,b,2} from ``pab``
-included, is an ``exact.MultiPoly`` (re-exported from this module): integer
-numerators over one denominator.  The product, the skew sum and the
-division read and write those numerators and never build a Fraction: the
-product's denominator is the product of the factors' denominators, the
-skew sum collects each term on the strictly decreasing representative of
-its orbit and expands every representative once, and the divided
-differences act on the integer coefficient dict.  A product or skew sum
-past MAX_TERMS terms, or a coefficient or second-member prefactor too long
-for ``str`` to print, raises ValueError before it is expanded.  Q is exact
-data; only its value at a point is floating point, an exactly rounded sum
-of the float terms that does not depend on their order, taken from the
-float form that the polynomial builds once.  numpy is imported inside ``eval_distribution``
+included, is an ``exact.MultiPoly``: integer numerators over one
+denominator.  The product, the skew sum and the division read and write
+those numerators and never build a Fraction: the product's denominator is
+the product of the factors' denominators, the skew sum collects each term
+on the strictly decreasing representative of its orbit and expands every
+representative once, and the divided differences act on the integer
+coefficient dict.  A product or skew sum past MAX_TERMS terms, or a
+coefficient or second-member prefactor too long for ``str`` to print,
+raises ValueError before it is expanded.  Q is exact data; only its value
+at a point is floating point, an exactly rounded sum of the float terms
+that does not depend on their order, taken from the float form that the
+polynomial builds once.  numpy is imported inside ``eval_distribution``
 and ``eigvalsh_jacobi``, the two functions that need it, so importing this
 module does not load it.
 
@@ -89,7 +89,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "MultiPoly",
     "DistributionData",
     "p_mu_product",
     "skew_symmetrize",

@@ -32,8 +32,8 @@ from math import factorial, fsum, pi, prod
 import numpy as np
 
 from .exact import MultiPoly, SymScalar, det, rising, superfactorial
-from .intertwine import DualPair, constants, distribution_G, eval_distribution, perm_sign
-from .reps import HCParam, occurs_G
+from .intertwine import constants, distribution_G, eval_distribution, perm_sign
+from .reps import DualPair, HCParam, occurs_G
 
 __all__ = [
     "RngStream",

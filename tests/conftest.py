@@ -12,8 +12,9 @@ from itertools import combinations
 from math import exp, factorial, fsum, inf, isfinite, pi, prod
 from operator import sub
 
-from howedual import DualPair, HCParam, HighestWeight, MultiPoly, SymScalar, pab2, rho, rising
-from howedual.reps import is_genuine
+from howedual.exact import MultiPoly, SymScalar, rising
+from howedual.pab import pab2
+from howedual.reps import DualPair, HCParam, HighestWeight, is_genuine, rho
 
 
 def derivative(p: MultiPoly) -> MultiPoly:

@@ -12,36 +12,39 @@ from math import factorial
 import numpy as np
 
 from conftest import all_pairs, derivative, is_symmetric, laguerre, occurring_params, pab_minus2, value_at
-from howedual import (
-    DualPair,
-    HCParam,
-    MultiPoly,
-    RngStream,
-    SymScalar,
-    cayley_invariance_check,
-    cayley_volume_check,
-    correspond,
-    correspond_back,
-    cw_identity_check,
-    dan_determinant,
-    delta_of,
-    dim_piprime,
-    dim_weyl,
+from howedual.exact import MultiPoly, SymScalar
+from howedual.intertwine import (
     distribution_G,
     distribution_Gprime,
-    distribution_invariance,
-    forrester_warnaar_check,
-    gaussian_vandermonde,
     multiplicity_one_check,
-    mysterious_factor,
-    occurs_G,
-    occurs_Gprime,
-    pab2,
     proportionality,
     value_at_zero_closed,
     value_at_zero_oracle,
-    vandermonde_identity,
     vol_unitary,
+)
+from howedual.pab import pab2
+from howedual.reps import (
+    DualPair,
+    HCParam,
+    correspond,
+    correspond_back,
+    delta_of,
+    dim_piprime,
+    dim_weyl,
+    mysterious_factor,
+    occurs_G,
+    occurs_Gprime,
+)
+from howedual.verify import (
+    RngStream,
+    cayley_invariance_check,
+    cayley_volume_check,
+    cw_identity_check,
+    dan_determinant,
+    distribution_invariance,
+    forrester_warnaar_check,
+    gaussian_vandermonde,
+    vandermonde_identity,
 )
 
 

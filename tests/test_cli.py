@@ -12,9 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from howedual import DualPair, HCParam, correspond
 from howedual.cli import main
-from howedual.reps import _DoubledTuple
+from howedual.reps import DualPair, HCParam, _DoubledTuple, correspond
 from howedual.verify import MAX_SAMPLES
 
 
@@ -370,6 +369,40 @@ def test_a_5000_digit_integer_flag_is_refused_in_the_same_words_at_every_limit(c
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     message = f"argument {flag}: integer would have 5000 digits, past the print limit of 4300"
+    assert json.loads(outs[0], parse_constant=_reject_constant) == {"error": message}
+
+
+def _least_binomial_past(t: int) -> int:
+    """The least n with binomial(n, 2) >= t."""
+    n = math.isqrt(2 * t)
+    while n * (n - 1) // 2 < t:
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        # dim Pi = 10^4300
+        (["dims", "--l", "2", "--lp", "2", "--mu", f"5{'0' * 4299},-5{'0' * 4299}"], "dim Pi"),
+        # dim Pi' = binomial(mu - 1/2, 2), the least one past 10^4300
+        (["correspond", "--l", "1", "--lp", "3", "--mu", f"{2 * _least_binomial_past(10**4300) + 1}/2"], "dim Pi'"),
+    ],
+    ids=["dim_pi", "dim_pi_prime"],
+)
+def test_a_dimension_at_the_print_limit_is_refused_in_the_same_words_at_every_limit(capsys, argv, what):
+    # within the float error of the log sizing, so the dimension is built and then held to the limit exactly
+    limit = sys.get_int_max_str_digits()
+    outs = []
+    for setting in (4300, 0):
+        sys.set_int_max_str_digits(setting)
+        try:
+            assert main(argv) == 1
+        finally:
+            sys.set_int_max_str_digits(limit)
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    message = f"{what} would have 4301 digits, past the print limit of 4300"
     assert json.loads(outs[0], parse_constant=_reject_constant) == {"error": message}
 
 

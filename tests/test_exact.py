@@ -4,22 +4,25 @@ import random
 import sys
 from fractions import Fraction
 from itertools import permutations
-from math import gcd, inf, isclose, log, perm, pi
+from math import factorial, gcd, inf, isclose, log, perm, pi
 
 import pytest
 
 from conftest import scalar_from_json, scalar_to_complex
-from howedual import MultiPoly, SymScalar, det, factorial, rising
 from howedual.exact import (
+    MultiPoly,
+    SymScalar,
     _odd_part,
     check_digits,
     check_printable,
+    det,
     format_doubled,
     log_falling,
     log_superfactorial,
     parse_doubled,
     parse_int,
     print_limit_log,
+    rising,
     superfactorial,
     superfactorial_valuation2,
 )

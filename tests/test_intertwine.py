@@ -21,41 +21,31 @@ from conftest import (
     occurring_params,
     permuted,
 )
-from howedual import (
+from howedual import intertwine
+from howedual.exact import MultiPoly, SymScalar, det
+from howedual.intertwine import (
     DistributionData,
-    DualPair,
-    HCParam,
-    MultiPoly,
-    SymScalar,
-    ab_params,
+    _divided_difference,
+    _pipeline,
+    _value_prefactor,
     constants,
-    correspond,
-    delta_of,
-    det,
-    dim_piprime,
     distribution_G,
     distribution_Gprime,
     divide_by_vandermonde,
+    eigvalsh_jacobi,
     eval_distribution,
     eval_on_W,
     multiplicity_one_check,
-    mysterious_factor,
     p_mu_product,
-    pab2,
+    perm_sign,
     proportionality,
     skew_symmetrize,
     value_at_zero_closed,
     value_at_zero_oracle,
     vol_unitary,
 )
-from howedual import intertwine
-from howedual.intertwine import (
-    _divided_difference,
-    _pipeline,
-    _value_prefactor,
-    eigvalsh_jacobi,
-    perm_sign,
-)
+from howedual.pab import pab2
+from howedual.reps import DualPair, HCParam, ab_params, correspond, delta_of, dim_piprime, mysterious_factor
 
 
 def H(text):

@@ -1,5 +1,7 @@
 """The exact layer starts without numpy; only the numeric subcommands load it.
 
+The package root is a namespace, and each public name has one home module.
+
 Each check runs in a fresh interpreter, because this test process has
 numpy loaded already.
 """
@@ -43,33 +45,26 @@ ROOT_SCRIPT = """
 import importlib, pkgutil, sys
 import howedual
 
+# the root is a namespace: it names no function and loads no module
 assert "numpy" not in sys.modules
-assert {"verify", "RngStream", "McReport"} <= set(dir(howedual))
-try:
-    howedual.no_such_name
-except AttributeError as exc:
-    assert "no_such_name" in str(exc)
-else:
-    raise AssertionError("unknown attribute did not raise")
-assert "numpy" not in sys.modules
+assert not [name for name in sys.modules if name.startswith("howedual.")]
+assert not [name for name in vars(howedual) if not name.startswith("_")]
 
-from howedual import McReport, RngStream
+from howedual import verify
 
-import howedual.verify
-
-assert howedual.verify is sys.modules["howedual.verify"]
-assert RngStream is howedual.verify.RngStream and McReport is howedual.verify.McReport
-assert McReport.build(1.0, 1.0, 1, 0).rel_error == 0.0
-assert RngStream(0).generator().random() == RngStream(0).generator().random()
-# every listed name resolves, so a removed one cannot linger as a stale export
-for name in dir(howedual):
-    getattr(howedual, name)
+assert verify is sys.modules["howedual.verify"]
+homes = {}
 for info in pkgutil.iter_modules(howedual.__path__):
     if info.name == "__main__":
         continue
     module = importlib.import_module(f"howedual.{info.name}")
     for name in module.__all__:
-        getattr(module, name)
+        value = getattr(module, name)
+        # a listed function or class is defined where it is listed, never taken from elsewhere
+        if callable(value):
+            assert value.__module__ == module.__name__, (module.__name__, name, value.__module__)
+        assert name not in homes, (name, homes.get(name), module.__name__)
+        homes[name] = module.__name__
 print("ok")
 """
 
@@ -89,7 +84,7 @@ def test_exact_subcommands_never_import_numpy(tmp_path):
     assert float(proc.stdout) > 0
 
 
-def test_package_root_loads_the_numeric_checks_on_first_use():
+def test_each_public_name_has_one_home():
     proc = run_python(ROOT_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"

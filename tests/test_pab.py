@@ -6,7 +6,8 @@ from math import factorial
 import pytest
 
 from conftest import derivative, laguerre, pab_minus2, pab_piecewise_eval, pab_value_at_zero, value_at
-from howedual import MultiPoly, pab2, rising
+from howedual.exact import MultiPoly, rising
+from howedual.pab import pab2
 
 TWO_PI = 6.283185307179586
 

@@ -9,34 +9,32 @@ from math import comb, factorial, log
 import pytest
 
 from conftest import all_pairs, dim_weyl_reference, hw_of, occurring_params
-from howedual import (
+from howedual.exact import SymScalar
+from howedual.intertwine import value_at_zero_closed
+from howedual.reps import (
     DualPair,
     HCParam,
     HighestWeight,
-    SymScalar,
+    MAX_RANK,
     ab_params,
     correspond,
     correspond_back,
     delta_of,
     dim_partner,
+    dim_partner_log,
     dim_piprime,
     dim_weyl,
+    dim_weyl_log,
     hc_param,
     mysterious_factor,
+    mysterious_factor_log,
     occurs_G,
+    occurs_G_reason,
     occurs_Gprime,
+    occurs_Gprime_reason,
     rho,
     rho_pp,
     s0_apply,
-    value_at_zero_closed,
-)
-from howedual.reps import (
-    MAX_RANK,
-    dim_partner_log,
-    dim_weyl_log,
-    mysterious_factor_log,
-    occurs_G_reason,
-    occurs_Gprime_reason,
 )
 
 

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from howedual import verify
-from howedual import (
-    DualPair,
-    HCParam,
+from howedual.exact import MultiPoly, rising
+from howedual.reps import DualPair, HCParam
+from howedual.verify import (
     McReport,
-    MultiPoly,
     RngStream,
+    _haar,
+    block_layout,
+    blocked_mean,
+    blocked_sums,
     cayley_invariance_check,
     cayley_volume_check,
     cw_identity_check,
@@ -21,17 +24,10 @@ from howedual import (
     distribution_invariance,
     forrester_warnaar_check,
     gaussian_vandermonde,
-    vandermonde_identity,
-)
-from howedual.exact import rising
-from howedual.verify import (
-    _haar,
-    block_layout,
-    blocked_mean,
-    blocked_sums,
     gaussian_vandermonde_double_sum,
     gaussian_vandermonde_exact,
     run_suite,
+    vandermonde_identity,
 )
 
 
